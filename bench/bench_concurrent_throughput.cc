@@ -10,13 +10,12 @@
  * lookups from different threads proceed in parallel (readers take
  * SHARED locks and never exclude each other).
  *
- * The index is Linear (the paper's enumeration baseline): its probe
- * cost is proportional to shard size, so N shards probed sequentially
- * cost the same total work as one big index and the measurement
- * isolates the LOCK model. (A kd-tree would not: a shard that does
- * not hold the query's exact twin prunes poorly in high dimensions,
- * so fan-out multiplies total probe work — that trade-off is
- * documented in DESIGN.md §10 and is why parallel_fanout exists.)
+ * The index is Linear, the exact flat index. Its 32-float keys take
+ * the PCA lower-bound filter once an arena holds 256 rows, so the
+ * 2,048-entry single-lock index is filtered while each of the 8
+ * shards sits at the fit threshold, and fan-out adds a query
+ * projection per shard: DESIGN.md §10 covers that trade-off, which
+ * is why parallel_fanout exists.
  *
  * Expected shape: the baseline's 4-thread throughput is at best its
  * 1-thread throughput (lock handoff usually makes it worse); the
@@ -83,8 +82,8 @@ measureThroughput(PotluckService &service, int threads, bool serialize)
 {
     std::mutex global_lock;
     std::atomic<uint64_t> misses{0};
-    // One untimed pass per thread warms caches and the kd-tree's lazy
-    // rebuild so the timed region measures steady state.
+    // One untimed pass warms caches so the timed region measures
+    // steady state.
     service.lookup("bench", "f", "vec", keyOf(0));
 
     Stopwatch sw;

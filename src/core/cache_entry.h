@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "core/value.h"
 #include "features/feature_vector.h"
@@ -68,7 +69,7 @@ struct CacheEntry
 
     CacheEntry() = default;
     CacheEntry(const CacheEntry &other) { *this = other; }
-    CacheEntry(CacheEntry &&other) noexcept { *this = other; }
+    CacheEntry(CacheEntry &&other) noexcept { *this = std::move(other); }
 
     /** Copy (atomics transfer by value; relaxed is enough — copies
      * happen while the source is lock-protected or thread-local). */

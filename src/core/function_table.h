@@ -38,7 +38,7 @@ struct KeyTypeConfig
     std::string name;                     ///< e.g. "downsamp", "fast"
     Metric metric = Metric::L2;           ///< comparison metric
     IndexKind index_kind = IndexKind::KdTree; ///< backing structure
-    ValueEquivalence value_equals;        ///< tuner equivalence; null = bytes
+    ValueEquivalence value_equals{};      ///< tuner equivalence; null = bytes
 
     /// @name LSH tuning (used only when index_kind == IndexKind::Lsh).
     /// The bucket width should be a small multiple of the expected

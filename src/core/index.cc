@@ -1,8 +1,7 @@
 #include "core/index.h"
 
+#include "core/flat_index.h"
 #include "core/hash_index.h"
-#include "core/kd_tree_index.h"
-#include "core/linear_index.h"
 #include "core/lsh_index.h"
 #include "core/tree_index.h"
 #include "util/logging.h"
@@ -32,13 +31,12 @@ makeIndex(IndexKind kind, Metric metric, uint64_t seed)
 {
     switch (kind) {
       case IndexKind::Linear:
-        return std::make_unique<LinearIndex>(metric);
+      case IndexKind::KdTree:
+        return std::make_unique<FlatIndex>(kind, metric);
       case IndexKind::Hash:
         return std::make_unique<HashIndex>(metric);
       case IndexKind::Tree:
         return std::make_unique<TreeIndex>(metric);
-      case IndexKind::KdTree:
-        return std::make_unique<KdTreeIndex>(metric);
       case IndexKind::Lsh:
         return std::make_unique<LshIndex>(metric, seed);
     }

@@ -4,10 +4,11 @@
  * implementations. An index maps feature-vector keys to entry ids and
  * answers threshold-restricted k-nearest-neighbour queries.
  *
- * Implementations (Section 4.2): naive enumeration (LinearIndex),
+ * Implementations (Section 4.2): an exact flat index with a PCA
+ * lower-bound filter (FlatIndex, behind both Linear and KdTree),
  * exact-match hashing (HashIndex), ordered tree for lexically
- * comparable keys (TreeIndex), KD-tree and p-stable LSH for
- * multi-dimensional vectors.
+ * comparable keys (TreeIndex), and p-stable LSH for multi-dimensional
+ * vectors.
  */
 #ifndef POTLUCK_CORE_INDEX_H
 #define POTLUCK_CORE_INDEX_H
@@ -31,10 +32,10 @@ struct Neighbor
 /** Index structure choices (Section 4.2's cache organization). */
 enum class IndexKind
 {
-    Linear,  ///< naive enumeration over all keys
+    Linear,  ///< exact nearest neighbours (FlatIndex)
     Hash,    ///< exact match, O(1)
     Tree,    ///< ordered map, O(log N) for lexically ordered keys
-    KdTree,  ///< spatial k-d tree
+    KdTree,  ///< the same FlatIndex; a compatible name for old clients
     Lsh,     ///< p-stable locality sensitive hashing
 };
 

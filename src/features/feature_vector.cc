@@ -211,48 +211,131 @@ FeatureVector::toString(size_t max_elems) const
     return oss.str();
 }
 
+namespace {
+
+/**
+ * Independent accumulators per kernel: enough to hide the add latency
+ * and to let the compiler pack lanes into vector registers.
+ */
+constexpr size_t kLanes = 8;
+
+/** Sum the lanes pairwise, so the order is fixed for every length. */
+double
+foldLanes(const double (&acc)[kLanes])
+{
+    return ((acc[0] + acc[4]) + (acc[1] + acc[5])) +
+           ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+}
+
+double
+l2Kernel(const float *a, const float *b, size_t n)
+{
+    double acc[kLanes] = {};
+    size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < kLanes; ++l) {
+            double d = static_cast<double>(a[i + l]) - b[i + l];
+            acc[l] += d * d;
+        }
+    }
+    double tail = 0.0;
+    for (; i < n; ++i) {
+        double d = static_cast<double>(a[i]) - b[i];
+        tail += d * d;
+    }
+    return std::sqrt(foldLanes(acc) + tail);
+}
+
+double
+l1Kernel(const float *a, const float *b, size_t n)
+{
+    double acc[kLanes] = {};
+    size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < kLanes; ++l)
+            acc[l] += std::abs(static_cast<double>(a[i + l]) - b[i + l]);
+    }
+    double tail = 0.0;
+    for (; i < n; ++i)
+        tail += std::abs(static_cast<double>(a[i]) - b[i]);
+    return foldLanes(acc) + tail;
+}
+
+double
+cosineKernel(const float *a, const float *b, size_t n)
+{
+    double dot[kLanes] = {}, na[kLanes] = {}, nb[kLanes] = {};
+    size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < kLanes; ++l) {
+            double x = a[i + l], y = b[i + l];
+            dot[l] += x * y;
+            na[l] += x * x;
+            nb[l] += y * y;
+        }
+    }
+    double tdot = 0.0, ta = 0.0, tb = 0.0;
+    for (; i < n; ++i) {
+        double x = a[i], y = b[i];
+        tdot += x * y;
+        ta += x * x;
+        tb += y * y;
+    }
+    double d = foldLanes(dot) + tdot, sa = foldLanes(na) + ta,
+           sb = foldLanes(nb) + tb;
+    if (sa <= 0.0 || sb <= 0.0)
+        return (sa == sb) ? 0.0 : 1.0;
+    return 1.0 - d / (std::sqrt(sa) * std::sqrt(sb));
+}
+
+double
+hammingKernel(const float *a, const float *b, size_t n)
+{
+    double acc[kLanes] = {};
+    size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < kLanes; ++l) {
+            if (std::abs(static_cast<double>(a[i + l]) - b[i + l]) > 0.5)
+                acc[l] += 1.0;
+        }
+    }
+    double tail = 0.0;
+    for (; i < n; ++i) {
+        if (std::abs(static_cast<double>(a[i]) - b[i]) > 0.5)
+            tail += 1.0;
+    }
+    return foldLanes(acc) + tail;
+}
+
+} // namespace
+
+double
+distance(const float *a, const float *b, size_t n, Metric metric)
+{
+    switch (metric) {
+      case Metric::L2:
+        return l2Kernel(a, b, n);
+      case Metric::L1:
+        return l1Kernel(a, b, n);
+      case Metric::Cosine:
+        return cosineKernel(a, b, n);
+      case Metric::Hamming:
+        return hammingKernel(a, b, n);
+    }
+    POTLUCK_PANIC("unreachable metric");
+}
+
 double
 distance(const FeatureVector &a, const FeatureVector &b, Metric metric)
 {
     POTLUCK_ASSERT(a.size() == b.size(),
                    "distance between vectors of size " << a.size() << " and "
                                                        << b.size());
-    switch (metric) {
-      case Metric::L2: {
-        double sum = 0.0;
-        for (size_t i = 0; i < a.size(); ++i) {
-            double d = static_cast<double>(a[i]) - b[i];
-            sum += d * d;
-        }
-        return std::sqrt(sum);
-      }
-      case Metric::L1: {
-        double sum = 0.0;
-        for (size_t i = 0; i < a.size(); ++i)
-            sum += std::abs(static_cast<double>(a[i]) - b[i]);
-        return sum;
-      }
-      case Metric::Cosine: {
-        double dot = 0.0, na = 0.0, nb = 0.0;
-        for (size_t i = 0; i < a.size(); ++i) {
-            dot += static_cast<double>(a[i]) * b[i];
-            na += static_cast<double>(a[i]) * a[i];
-            nb += static_cast<double>(b[i]) * b[i];
-        }
-        if (na <= 0.0 || nb <= 0.0)
-            return (na == nb) ? 0.0 : 1.0;
-        return 1.0 - dot / (std::sqrt(na) * std::sqrt(nb));
-      }
-      case Metric::Hamming: {
-        double count = 0.0;
-        for (size_t i = 0; i < a.size(); ++i) {
-            if (std::abs(static_cast<double>(a[i]) - b[i]) > 0.5)
-                count += 1.0;
-        }
-        return count;
-      }
-    }
-    POTLUCK_PANIC("unreachable metric");
+    return distance(a.values().data(), b.values().data(), a.size(), metric);
 }
 
 } // namespace potluck

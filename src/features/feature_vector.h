@@ -77,6 +77,14 @@ class FeatureVector
 double distance(const FeatureVector &a, const FeatureVector &b,
                 Metric metric = Metric::L2);
 
+/**
+ * The same distance over two raw rows of `n` floats: the kernel the
+ * overload above runs, for callers that keep keys in a flat arena.
+ * Each metric accumulates in independent double lanes so the adds
+ * overlap instead of forming one serial chain.
+ */
+double distance(const float *a, const float *b, size_t n, Metric metric);
+
 } // namespace potluck
 
 #endif // POTLUCK_FEATURES_FEATURE_VECTOR_H

@@ -7,97 +7,168 @@
 
 namespace potluck {
 
-void
-Pca::fit(const std::vector<FeatureVector> &samples, int num_components,
-         int power_iters)
+namespace {
+
+/**
+ * Components are processed in chunks of this many, each a fixed-width
+ * row of accumulators the compiler keeps in vector registers; the
+ * basis is stored padded to a whole number of chunks.
+ */
+constexpr int kChunk = 16;
+
+/** Coordinates per block in fit(): a block of the basis, or of its
+ * update, is kBlock * kChunk doubles (8 KiB). */
+constexpr size_t kBlock = 64;
+
+/** out[c] += x * b[c] over one chunk. */
+inline void
+axpyChunk(double x, const double *b, double *out)
 {
-    POTLUCK_ASSERT(!samples.empty(), "PCA fit with no samples");
-    size_t dim = samples[0].size();
-    for (const auto &s : samples)
-        POTLUCK_ASSERT(s.size() == dim, "PCA samples of unequal dimension");
-    POTLUCK_ASSERT(num_components >= 1 &&
-                       num_components <= static_cast<int>(dim),
-                   "bad component count " << num_components);
+#pragma GCC unroll 16
+    for (int c = 0; c < kChunk; ++c)
+        out[c] += x * b[c];
+}
 
-    // Centre the data.
-    mean_.assign(dim, 0.0f);
-    for (const auto &s : samples)
+/**
+ * Modified Gram-Schmidt over the first k columns of a row-major
+ * dim x stride matrix. A column that is (numerically) a combination of
+ * the ones before it becomes zero: a zero component still projects
+ * without lengthening anything, where a renormalised rounding residue
+ * would not be orthogonal to the rest.
+ */
+void
+orthonormalise(std::vector<double> &m, size_t dim, int k, int stride)
+{
+    for (int c = 0; c < k; ++c) {
+        double before = 0.0;
         for (size_t i = 0; i < dim; ++i)
-            mean_[i] += s[i];
-    for (auto &m : mean_)
-        m /= static_cast<float>(samples.size());
-
-    std::vector<std::vector<double>> centred(
-        samples.size(), std::vector<double>(dim));
-    for (size_t r = 0; r < samples.size(); ++r)
+            before += m[i * stride + c] * m[i * stride + c];
+        for (int j = 0; j < c; ++j) {
+            double dot = 0.0;
+            for (size_t i = 0; i < dim; ++i)
+                dot += m[i * stride + j] * m[i * stride + c];
+            for (size_t i = 0; i < dim; ++i)
+                m[i * stride + c] -= dot * m[i * stride + j];
+        }
+        double after = 0.0;
         for (size_t i = 0; i < dim; ++i)
-            centred[r][i] = samples[r][i] - mean_[i];
+            after += m[i * stride + c] * m[i * stride + c];
+        const bool dependent = !(after > 1e-20 * before);
+        const double scale = dependent ? 0.0 : 1.0 / std::sqrt(after);
+        for (size_t i = 0; i < dim; ++i)
+            m[i * stride + c] = dependent ? 0.0 : m[i * stride + c] * scale;
+    }
+}
 
-    components_.clear();
-    variance_.clear();
+} // namespace
 
-    // Total variance for the explained-variance ratios.
+void
+Pca::fit(const std::vector<const float *> &rows, size_t dim,
+         int num_components, int iters)
+{
+    POTLUCK_ASSERT(!rows.empty(), "PCA fit with no samples");
+    POTLUCK_ASSERT(dim > 0 && num_components >= 1 &&
+                       static_cast<size_t>(num_components) <= dim,
+                   "bad component count " << num_components << " for dim "
+                                          << dim);
+    const int k = num_components;
+    const int stride = (k + kChunk - 1) / kChunk * kChunk;
+    const double n = static_cast<double>(rows.size());
+
+    mean_.assign(dim, 0.0);
+    for (const float *row : rows)
+        for (size_t i = 0; i < dim; ++i)
+            mean_[i] += row[i];
+    for (double &m : mean_)
+        m /= n;
+
+    // Deterministic start basis, unlikely to be orthogonal to the
+    // leading eigenvectors. Padding columns stay zero throughout.
+    basis_.assign(dim * stride, 0.0);
+    for (size_t i = 0; i < dim; ++i)
+        for (int c = 0; c < k; ++c)
+            basis_[i * stride + c] =
+                std::cos(static_cast<double>(i + 1) * (c + 1));
+    orthonormalise(basis_, dim, k, stride);
+    components_ = k;
+    stride_ = stride;
+
+    // Subspace iteration: basis <- orth(X^T X basis), X the centred
+    // sample. Both products walk the coordinates in blocks, so the
+    // block of the basis or of its update being read stays in cache
+    // while every row streams past it.
+    const size_t m = rows.size();
+    std::vector<double> z(m * stride); // z_r = basis^T x_r
+    auto projectAll = [&]() {
+        std::fill(z.begin(), z.end(), 0.0);
+        for (size_t i0 = 0; i0 < dim; i0 += kBlock) {
+            const size_t i1 = std::min(dim, i0 + kBlock);
+            for (size_t r = 0; r < m; ++r) {
+                for (int c0 = 0; c0 < stride; c0 += kChunk) {
+                    double acc[kChunk];
+                    std::copy_n(&z[r * stride + c0], kChunk, acc);
+                    for (size_t i = i0; i < i1; ++i)
+                        axpyChunk(rows[r][i] - mean_[i],
+                                  &basis_[i * stride + c0], acc);
+                    std::copy_n(acc, kChunk, &z[r * stride + c0]);
+                }
+            }
+        }
+    };
+    std::vector<double> next(dim * stride);
+    for (int it = 0; it < iters; ++it) {
+        projectAll();
+        std::fill(next.begin(), next.end(), 0.0);
+        for (size_t i0 = 0; i0 < dim; i0 += kBlock) {
+            const size_t i1 = std::min(dim, i0 + kBlock);
+            for (size_t r = 0; r < m; ++r)
+                for (size_t i = i0; i < i1; ++i)
+                    for (int c0 = 0; c0 < stride; c0 += kChunk)
+                        axpyChunk(rows[r][i] - mean_[i], &z[r * stride + c0],
+                                  &next[i * stride + c0]);
+        }
+        basis_.swap(next);
+        orthonormalise(basis_, dim, k, stride);
+    }
+    // Once more: Gram-Schmidt loses orthogonality in proportion to the
+    // conditioning of its input, and a second pass over an already
+    // near-orthonormal basis brings it to rounding level.
+    orthonormalise(basis_, dim, k, stride);
+
+    projectAll();
     double total_var = 0.0;
-    for (const auto &row : centred)
-        for (double v : row)
-            total_var += v * v;
-    total_var /= static_cast<double>(samples.size());
+    variance_.assign(k, 0.0);
+    for (size_t r = 0; r < m; ++r) {
+        for (size_t i = 0; i < dim; ++i) {
+            const double x = rows[r][i] - mean_[i];
+            total_var += x * x;
+        }
+        for (int c = 0; c < k; ++c)
+            variance_[c] += z[r * stride + c] * z[r * stride + c];
+    }
     if (total_var <= 0.0)
         total_var = 1.0;
+    for (double &v : variance_)
+        v /= total_var;
+}
 
-    // Power iteration with deflation: find each leading eigenvector of
-    // the covariance implicitly via X^T (X w).
-    for (int comp = 0; comp < num_components; ++comp) {
-        std::vector<double> w(dim);
-        // Deterministic start vector that is unlikely to be orthogonal
-        // to the leading eigenvector.
-        for (size_t i = 0; i < dim; ++i)
-            w[i] = std::cos(static_cast<double>(i + 1) * (comp + 1));
-        for (int it = 0; it < power_iters; ++it) {
-            // z = X w (per-sample projections)
-            std::vector<double> z(centred.size(), 0.0);
-            for (size_t r = 0; r < centred.size(); ++r)
-                for (size_t i = 0; i < dim; ++i)
-                    z[r] += centred[r][i] * w[i];
-            // w' = X^T z
-            std::vector<double> next(dim, 0.0);
-            for (size_t r = 0; r < centred.size(); ++r)
-                for (size_t i = 0; i < dim; ++i)
-                    next[i] += centred[r][i] * z[r];
-            double norm = 0.0;
-            for (double v : next)
-                norm += v * v;
-            norm = std::sqrt(norm);
-            if (norm < 1e-12)
-                break; // no remaining variance
-            for (size_t i = 0; i < dim; ++i)
-                w[i] = next[i] / norm;
+double
+Pca::transform(const float *v, float *out) const
+{
+    double centred_sq = 0.0;
+    for (int c0 = 0; c0 < components_; c0 += kChunk) {
+        double acc[kChunk] = {};
+        double sq = 0.0;
+        for (size_t i = 0; i < mean_.size(); ++i) {
+            const double xi = v[i] - mean_[i];
+            sq += xi * xi;
+            axpyChunk(xi, &basis_[i * stride_ + c0], acc);
         }
-        // Eigenvalue estimate = variance of projections.
-        double lambda = 0.0;
-        for (const auto &row : centred) {
-            double proj = 0.0;
-            for (size_t i = 0; i < dim; ++i)
-                proj += row[i] * w[i];
-            lambda += proj * proj;
-        }
-        lambda /= static_cast<double>(centred.size());
-        variance_.push_back(lambda / total_var);
-
-        std::vector<float> comp_f(dim);
-        for (size_t i = 0; i < dim; ++i)
-            comp_f[i] = static_cast<float>(w[i]);
-        components_.push_back(std::move(comp_f));
-
-        // Deflate: remove this component from every sample.
-        for (auto &row : centred) {
-            double proj = 0.0;
-            for (size_t i = 0; i < dim; ++i)
-                proj += row[i] * w[i];
-            for (size_t i = 0; i < dim; ++i)
-                row[i] -= proj * w[i];
-        }
+        for (int c = c0; c < std::min(components_, c0 + kChunk); ++c)
+            out[c] = static_cast<float>(acc[c - c0]);
+        centred_sq = sq;
     }
+    return std::sqrt(centred_sq);
 }
 
 FeatureVector
@@ -109,13 +180,8 @@ Pca::transform(const FeatureVector &v) const
         POTLUCK_FATAL("PCA transform dim " << v.size() << " != fit dim "
                                            << mean_.size());
     }
-    std::vector<float> out(components_.size());
-    for (size_t c = 0; c < components_.size(); ++c) {
-        double sum = 0.0;
-        for (size_t i = 0; i < mean_.size(); ++i)
-            sum += (v[i] - mean_[i]) * static_cast<double>(components_[c][i]);
-        out[c] = static_cast<float>(sum);
-    }
+    std::vector<float> out(components_);
+    transform(v.values().data(), out.data());
     return FeatureVector(std::move(out));
 }
 

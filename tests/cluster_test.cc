@@ -687,9 +687,11 @@ TEST_F(ThreeDaemonTest, RestartedPeerIsReattachedByHalfOpenProbe)
     client.lookup(fn, "vec", FeatureVector({1.0f}));
 
     ClusterStatus st = client.fetchPeers();
-    for (const PeerStatus &p : st.peers)
-        if (p.endpoint == socks_[1])
+    for (const PeerStatus &p : st.peers) {
+        if (p.endpoint == socks_[1]) {
             EXPECT_EQ(p.state, 0) << "peer did not recover";
+        }
+    }
 
     // Remote hits flow again: seed the restarted owner, look up here.
     PotluckClient producer("producer", socks_[1]);

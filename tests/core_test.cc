@@ -101,6 +101,18 @@ TEST(Importance, GrowsWithFrequencyAndOverhead)
               makeEntry(1000, 2, 500).importance());
 }
 
+TEST(CacheEntryMove, MoveConstructionStealsKeysAndValue)
+{
+    CacheEntry source = makeEntry(1000.0, 3, 64);
+    CacheEntry moved(std::move(source));
+    // The source gave up its key map, and the value changed hands
+    // instead of gaining a second owner.
+    EXPECT_TRUE(source.keys.empty()); // NOLINT(bugprone-use-after-move)
+    ASSERT_EQ(moved.keys.count("k"), 1u);
+    EXPECT_EQ(moved.value.use_count(), 1);
+    EXPECT_EQ(moved.access_frequency.load(), 3u);
+}
+
 TEST(Importance, DegenerateZeroSizeSafe)
 {
     CacheEntry e;

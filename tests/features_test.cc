@@ -131,11 +131,13 @@ TEST(Registry, AddReplacesByName)
 
 // ---- The stability/discrimination property, per extractor. ----
 
+// ctest names each case after the raw bytes of its parameter, so the
+// name is held inline: a pointer's bytes would differ in every build.
 struct ExtractorCase
 {
-    const char *name;
+    char name[12];
     /** Max acceptable ratio of perturbed-distance / unrelated-distance. */
-    double separation;
+    float separation;
 };
 
 class ExtractorProperty : public ::testing::TestWithParam<ExtractorCase>
@@ -181,20 +183,21 @@ TEST_P(ExtractorProperty, FixedOutputDimensionAcrossSizes)
     size_t d1 = extractor->extract(testScene(4, 96, 72)).size();
     size_t d2 = extractor->extract(testScene(5, 128, 96)).size();
     // HoG dimension depends on the cell grid; all others must be fixed.
-    if (std::string(GetParam().name) != "hog")
+    if (std::string(GetParam().name) != "hog") {
         EXPECT_EQ(d1, d2) << GetParam().name;
+    }
     EXPECT_GT(d1, 0u);
     EXPECT_GT(d2, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllExtractors, ExtractorProperty,
-    ::testing::Values(ExtractorCase{"colorhist", 0.9},
-                      ExtractorCase{"downsamp", 0.7},
-                      ExtractorCase{"hog", 0.9},
-                      ExtractorCase{"phash", 0.9},
-                      ExtractorCase{"sift", 0.95},
-                      ExtractorCase{"surf", 0.95}),
+    ::testing::Values(ExtractorCase{"colorhist", 0.9f},
+                      ExtractorCase{"downsamp", 0.7f},
+                      ExtractorCase{"hog", 0.9f},
+                      ExtractorCase{"phash", 0.9f},
+                      ExtractorCase{"sift", 0.95f},
+                      ExtractorCase{"surf", 0.95f}),
     [](const auto &info) { return std::string(info.param.name); });
 
 TEST(ColorHist, SumsToChannels)
@@ -399,6 +402,15 @@ TEST(Mfcc, ShortSignalYieldsZeroKey)
         EXPECT_FLOAT_EQ(v[i], 0.0f);
 }
 
+std::vector<const float *>
+rowsOf(const std::vector<FeatureVector> &samples)
+{
+    std::vector<const float *> rows;
+    for (const FeatureVector &s : samples)
+        rows.push_back(s.values().data());
+    return rows;
+}
+
 TEST(Pca, RecoversDominantDirection)
 {
     // Points spread along (1, 1)/sqrt(2) with tiny orthogonal noise.
@@ -411,7 +423,7 @@ TEST(Pca, RecoversDominantDirection)
             {static_cast<float>(t + n), static_cast<float>(t - n)}));
     }
     Pca pca;
-    pca.fit(samples, 1);
+    pca.fit(rowsOf(samples), 2, 1);
     ASSERT_TRUE(pca.fitted());
     EXPECT_GT(pca.explainedVariance()[0], 0.98);
     // Projection separates points by t.
@@ -420,12 +432,52 @@ TEST(Pca, RecoversDominantDirection)
     EXPECT_GT(std::abs(hi[0] - lo[0]), 9.0);
 }
 
+// The flat index's filter is exact only if the components are
+// orthonormal: then no projection lengthens a vector. That must hold
+// for full-rank samples and for rank-deficient ones, where the
+// components past the rank come out as zero rather than as rounding
+// residue.
+TEST(Pca, ComponentsAreOrthonormal)
+{
+    constexpr size_t kDim = 96;
+    constexpr int kComponents = 16;
+    for (size_t rank : {kDim, size_t{5}}) {
+        Rng rng(19 + rank);
+        std::vector<FeatureVector> samples;
+        for (int r = 0; r < 256; ++r) {
+            std::vector<float> v(kDim, 1.5f);
+            for (size_t i = 0; i < rank; ++i)
+                v[i] = static_cast<float>(rng.gaussian(0, 1.0 + i % 7));
+            samples.emplace_back(std::move(v));
+        }
+        Pca pca;
+        pca.fit(rowsOf(samples), kDim, kComponents, 4);
+        ASSERT_EQ(pca.outputDim(), kComponents);
+        int nonzero = 0;
+        for (int a = 0; a < kComponents; ++a) {
+            for (int b = a; b < kComponents; ++b) {
+                double dot = 0.0;
+                for (size_t i = 0; i < kDim; ++i)
+                    dot += pca.component(a, i) * pca.component(b, i);
+                if (a != b) {
+                    EXPECT_NEAR(dot, 0.0, 1e-12) << a << "," << b;
+                } else if (dot != 0.0) {
+                    EXPECT_NEAR(dot, 1.0, 1e-12) << a;
+                }
+                nonzero += a == b && dot != 0.0;
+            }
+        }
+        EXPECT_EQ(nonzero, static_cast<int>(std::min<size_t>(
+                               rank, kComponents)));
+    }
+}
+
 TEST(Pca, TransformDimMismatchFatal)
 {
     Pca pca;
     std::vector<FeatureVector> samples(10, FeatureVector({1.0f, 2.0f}));
     samples[0] = FeatureVector({0.0f, 0.0f});
-    pca.fit(samples, 1);
+    pca.fit(rowsOf(samples), 2, 1);
     EXPECT_THROW(pca.transform(FeatureVector({1.0f, 2.0f, 3.0f})),
                  FatalError);
 }

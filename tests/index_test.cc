@@ -1,17 +1,20 @@
 /**
  * @file
- * Tests for the five key-index structures, including parameterized
- * property sweeps: every exact index must agree with brute force;
- * LSH must find the true neighbour for clustered data with high
- * probability; all must handle insert/remove/duplicate-id traffic.
+ * Tests for the key-index structures, including parameterized
+ * property sweeps: every exact index must agree with brute force over
+ * distance(), on both sides of the flat index's filter fit; LSH must
+ * find the true neighbour for clustered data with high probability;
+ * all must handle insert/remove/duplicate-id traffic.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
+#include "core/flat_index.h"
 #include "core/index.h"
-#include "core/linear_index.h"
 #include "core/lsh_index.h"
 #include "util/rng.h"
 
@@ -25,6 +28,28 @@ randomKey(Rng &rng, size_t dim, double spread = 10.0)
     for (auto &x : v)
         x = static_cast<float>(rng.uniformReal(-spread, spread));
     return FeatureVector(std::move(v));
+}
+
+/** Stored keys by id: what the brute-force reference enumerates. */
+using KeyMap = std::map<EntryId, FeatureVector>;
+
+/**
+ * The k nearest stored keys of the query's length by enumeration over
+ * L2 distance(), ascending by (distance, id).
+ */
+std::vector<Neighbor>
+bruteForce(const KeyMap &keys, const FeatureVector &query, size_t k)
+{
+    std::vector<Neighbor> all;
+    for (const auto &[id, key] : keys)
+        if (key.size() == query.size())
+            all.push_back({id, distance(query, key)});
+    std::sort(all.begin(), all.end(),
+              [](const Neighbor &a, const Neighbor &b) {
+                  return a.dist < b.dist || (a.dist == b.dist && a.id < b.id);
+              });
+    all.resize(std::min(k, all.size()));
+    return all;
 }
 
 // ---------- Common behaviour across every index kind ----------
@@ -81,8 +106,7 @@ TEST_P(IndexBehaviour, ReinsertSameIdReplacesKey)
     auto index = make();
     index->insert(7, FeatureVector({0.0f, 0.0f}));
     index->insert(7, FeatureVector({9.0f, 9.0f}));
-    // KD-tree rebuilds lazily; either way id 7 must only exist once
-    // and the *new* key must be findable.
+    // Id 7 must only exist once and the *new* key must be findable.
     auto found = index->nearest(FeatureVector({9.0f, 9.0f}), 1);
     ASSERT_FALSE(found.empty());
     EXPECT_EQ(found[0].id, 7u);
@@ -126,16 +150,16 @@ TEST_P(ExactIndexAgreement, NearestMatchesBruteForce)
 {
     Rng rng(23);
     auto index = makeIndex(GetParam(), Metric::L2, 3);
-    LinearIndex reference(Metric::L2);
+    KeyMap reference;
     for (EntryId id = 1; id <= 200; ++id) {
         FeatureVector key = randomKey(rng, 8);
         index->insert(id, key);
-        reference.insert(id, key);
+        reference[id] = key;
     }
     for (int q = 0; q < 50; ++q) {
         FeatureVector query = randomKey(rng, 8);
         auto got = index->nearest(query, 1);
-        auto want = reference.nearest(query, 1);
+        auto want = bruteForce(reference, query, 1);
         ASSERT_EQ(got.size(), 1u);
         ASSERT_EQ(want.size(), 1u);
         EXPECT_NEAR(got[0].dist, want[0].dist, 1e-6)
@@ -188,16 +212,210 @@ TEST(KdTreeSpecific, HighDimStillExact)
 {
     Rng rng(31);
     auto kd = makeIndex(IndexKind::KdTree, Metric::L2);
-    LinearIndex reference(Metric::L2);
+    KeyMap reference;
     for (EntryId id = 1; id <= 150; ++id) {
         FeatureVector key = randomKey(rng, 64);
         kd->insert(id, key);
-        reference.insert(id, key);
+        reference[id] = key;
     }
     for (int q = 0; q < 20; ++q) {
         FeatureVector query = randomKey(rng, 64);
         EXPECT_NEAR(kd->nearest(query, 1)[0].dist,
-                    reference.nearest(query, 1)[0].dist, 1e-6);
+                    bruteForce(reference, query, 1)[0].dist, 1e-6);
+    }
+}
+
+// ---------- The flat index's lower-bound filter ----------
+
+/**
+ * A key near a random one of `centres`: a random mix of `factors` plus
+ * `noise` per coordinate, so most of its variance sits in a few
+ * directions, as it does for image keys. Then most bounds come close
+ * to the exact distance, and a bound that overshoots prunes true
+ * neighbours.
+ */
+FeatureVector
+clusteredKey(Rng &rng, const std::vector<FeatureVector> &centres,
+             const std::vector<FeatureVector> &factors, double noise)
+{
+    const FeatureVector &c = centres[static_cast<size_t>(
+        rng.uniformInt(0, static_cast<int64_t>(centres.size()) - 1))];
+    std::vector<double> v(c.values().begin(), c.values().end());
+    for (const FeatureVector &f : factors) {
+        const double weight = rng.gaussian(0, 3.0);
+        for (size_t i = 0; i < v.size(); ++i)
+            v[i] += weight * f[i];
+    }
+    std::vector<float> out(v.size());
+    for (size_t i = 0; i < v.size(); ++i)
+        out[i] = static_cast<float>(v[i] + rng.gaussian(0, noise));
+    return FeatureVector(std::move(out));
+}
+
+void
+expectSameNeighbours(const std::vector<Neighbor> &got,
+                     const std::vector<Neighbor> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+        EXPECT_NEAR(got[i].dist, want[i].dist, 1e-6) << "rank " << i;
+    }
+}
+
+class FilteredIndexProperty : public ::testing::TestWithParam<size_t>
+{
+};
+
+// Grows one index past its first filter fit (256 rows) and one refit
+// (as many inserts again), removing and re-inserting ids on the way,
+// and checks every probe against brute force. Stored keys are
+// clustered; half the queries come from other clusters, which the
+// basis was never fitted on.
+TEST_P(FilteredIndexProperty, MatchesBruteForceAcrossFits)
+{
+    const size_t dim = GetParam();
+    Rng rng(101 + dim);
+    std::vector<FeatureVector> stored_centres, query_centres, factors;
+    for (int c = 0; c < 8; ++c) {
+        stored_centres.push_back(randomKey(rng, dim));
+        query_centres.push_back(randomKey(rng, dim));
+        factors.push_back(randomKey(rng, dim, 1.0));
+    }
+    FlatIndex index(IndexKind::KdTree, Metric::L2);
+    KeyMap reference;
+    std::vector<EntryId> removed;
+    size_t exact_total = 0, rows_total = 0;
+    auto check = [&]() {
+        for (int q = 0; q < 8; ++q) {
+            FeatureVector query =
+                q % 2 ? clusteredKey(rng, query_centres, factors, 0.5)
+                      : clusteredKey(rng, stored_centres, factors, 0.05);
+            for (size_t k : {1u, 3u}) {
+                size_t exact = 0, rows = 0;
+                auto got = index.nearest(query, k, exact, rows);
+                expectSameNeighbours(got, bruteForce(reference, query, k));
+                EXPECT_EQ(rows, reference.size());
+                if (rows > 300) { // past the first fit
+                    exact_total += exact;
+                    rows_total += rows;
+                }
+            }
+        }
+    };
+    EntryId next = 1;
+    for (int step = 1; step <= 700; ++step) {
+        FeatureVector key = clusteredKey(rng, stored_centres, factors, 0.05);
+        index.insert(next, key);
+        reference[next++] = key;
+        if (step % 5 == 0) {
+            auto victim = reference.begin();
+            std::advance(victim, rng.uniformInt(
+                                     0, static_cast<int64_t>(
+                                            reference.size()) - 1));
+            index.remove(victim->first);
+            removed.push_back(victim->first);
+            reference.erase(victim);
+        }
+        if (step % 9 == 0 && !removed.empty()) {
+            EntryId back = removed.back();
+            removed.pop_back();
+            FeatureVector again =
+                clusteredKey(rng, stored_centres, factors, 0.05);
+            index.insert(back, again);
+            reference[back] = again;
+        }
+        ASSERT_EQ(index.size(), reference.size());
+        if (step % 50 == 0)
+            check();
+    }
+    // Short keys are always scanned; long ones were filtered.
+    ASSERT_GT(rows_total, 0u);
+    if (dim < 32)
+        EXPECT_EQ(exact_total, rows_total);
+    else
+        EXPECT_LT(exact_total, rows_total);
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyLengths, FilteredIndexProperty,
+                         ::testing::Values(2u, 25u, 128u, 768u));
+
+// Keys vary in their first 16 coordinates only, so the fitted basis
+// spans exactly those: for a key that differs from the query only
+// there (say, along the first fitted component), the lower bound
+// equals the exact distance. Two such keys tie with the query, one on
+// each side of it; the bound of the second one popped sits exactly on
+// the pruning boundary, and the tie must still go to the smaller id.
+TEST(FlatIndexFilter, KeyOnTheBoundIsReturned)
+{
+    constexpr size_t kDim = 64;
+    constexpr EntryId kPair = 1000;
+    Rng rng(41);
+    auto spanKey = [&]() {
+        std::vector<float> v(kDim, 3.0f);
+        for (size_t i = 0; i < 16; ++i)
+            v[i] = static_cast<float>(rng.uniformInt(-40, 40)) / 4.0f;
+        return FeatureVector(std::move(v));
+    };
+    for (bool smaller_above : {true, false}) {
+        FlatIndex index(IndexKind::KdTree, Metric::L2);
+        KeyMap reference;
+        for (EntryId id = 1; id <= 300; ++id) {
+            FeatureVector key = spanKey();
+            index.insert(id, key);
+            reference[id] = key;
+        }
+        for (int q = 0; q < 10; ++q) {
+            FeatureVector query = spanKey();
+            FeatureVector above = query, below = query;
+            above.values()[0] += 0.25f;
+            below.values()[0] -= 0.25f;
+            const EntryId a = kPair + 2 * q, b = a + 1;
+            index.insert(smaller_above ? a : b, above);
+            index.insert(smaller_above ? b : a, below);
+            reference[smaller_above ? a : b] = above;
+            reference[smaller_above ? b : a] = below;
+            for (size_t k : {1u, 2u}) {
+                size_t exact = 0, rows = 0;
+                auto got = index.nearest(query, k, exact, rows);
+                auto want = bruteForce(reference, query, k);
+                expectSameNeighbours(got, want);
+                ASSERT_FALSE(got.empty());
+                EXPECT_EQ(got[0].id, a);
+                EXPECT_DOUBLE_EQ(got[0].dist, 0.25);
+                EXPECT_LT(exact, rows); // the filter ran
+            }
+        }
+    }
+}
+
+// A key with NaN coordinates is at NaN distance from everything. It
+// must rank after every real key, scanned or filtered, instead of
+// answering every lookup of its length, and a k that reaches past the
+// real keys must still list every id once.
+TEST(FlatIndexFilter, NanKeyNeverShadowsRealKeys)
+{
+    for (size_t dim : {2u, 64u}) {
+        SCOPED_TRACE(dim);
+        FlatIndex index(IndexKind::Linear, Metric::L2);
+        Rng rng(43);
+        index.insert(1, FeatureVector(std::vector<float>(dim, NAN)));
+        index.insert(2, FeatureVector(std::vector<float>(dim, NAN)));
+        for (EntryId id = 3; id <= 300; ++id)
+            index.insert(id, randomKey(rng, dim));
+        FeatureVector query = randomKey(rng, dim);
+        auto found = index.nearest(query, 1);
+        ASSERT_EQ(found.size(), 1u);
+        EXPECT_GT(found[0].id, 2u);
+        EXPECT_TRUE(std::isfinite(found[0].dist));
+
+        auto most = index.nearest(query, 299);
+        ASSERT_EQ(most.size(), 299u);
+        std::set<EntryId> ids;
+        for (const Neighbor &n : most)
+            ids.insert(n.id);
+        EXPECT_EQ(ids.size(), most.size());
+        EXPECT_TRUE(std::isinf(most.back().dist));
     }
 }
 
@@ -238,12 +456,9 @@ TEST(LshSpecific, GrowsWithDimensionLazily)
     EXPECT_EQ(found[0].id, 2u);
 }
 
-// Regression: mixed-dimension keys in one kd-tree used to read past
-// the end of the shorter vectors — build() cycled the split axis over
-// the first key's dimension and search() indexed stored[axis]
-// unconditionally, so a 2-d key in a tree whose depth walked past axis
-// 1 was undefined behaviour. Both now clamp: out-of-range coordinates
-// read as 0 and only same-dimension keys are scored.
+// Keys of several lengths can share one index: the service segregates
+// key TYPES, not dimensions. Each length keeps its own arena, and a
+// query only ever meets keys of its own length.
 TEST(KdTreeSpecific, MixedDimensionKeysDoNotReadOutOfBounds)
 {
     auto index = makeIndex(IndexKind::KdTree, Metric::L2, /*seed=*/3);
@@ -251,8 +466,6 @@ TEST(KdTreeSpecific, MixedDimensionKeysDoNotReadOutOfBounds)
     FeatureVector big(std::vector<float>(128, 0.25f));
     index->insert(1, small);
     index->insert(2, big);
-    // More high-dimension keys force tree depth past axis 1, the case
-    // that used to index small[axis] out of range during descent.
     Rng rng(17);
     for (EntryId id = 3; id <= 40; ++id)
         index->insert(id, randomKey(rng, 128));
@@ -267,35 +480,26 @@ TEST(KdTreeSpecific, MixedDimensionKeysDoNotReadOutOfBounds)
     EXPECT_EQ(found_big[0].id, 2u);
     EXPECT_DOUBLE_EQ(found_big[0].dist, 0.0);
 
-    // A dimension with no stored keys at all: nothing to score, no
-    // out-of-bounds reads while descending the 128-d dominated tree.
+    // A dimension with no stored keys at all: nothing to score.
     EXPECT_TRUE(index->nearest(FeatureVector({1.0f, 2.0f, 3.0f}), 2)
                     .empty());
 }
 
 TEST(KdTreeSpecific, MixedDimensionNeighborsStayExact)
 {
-    // The kd-tree must agree with brute force even when the tree
-    // interleaves 2-d and 128-d keys (pruning uses clamped
-    // coordinates, which may only make the search less aggressive,
-    // never wrong).
+    // Brute-force agreement when 2-d and 128-d keys interleave.
     auto kd = makeIndex(IndexKind::KdTree, Metric::L2, /*seed=*/9);
-    auto brute = makeIndex(IndexKind::Linear, Metric::L2, /*seed=*/9);
+    KeyMap brute;
     Rng rng(23);
     for (EntryId id = 1; id <= 60; ++id) {
         FeatureVector key = randomKey(rng, id % 2 ? 2 : 128);
         kd->insert(id, key);
-        brute->insert(id, key);
+        brute[id] = key;
     }
     for (int probe = 0; probe < 20; ++probe) {
+        SCOPED_TRACE(probe);
         FeatureVector q = randomKey(rng, probe % 2 ? 2 : 128);
-        auto got = kd->nearest(q, 3);
-        auto want = brute->nearest(q, 3);
-        ASSERT_EQ(got.size(), want.size()) << "probe " << probe;
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].id, want[i].id) << "probe " << probe;
-            EXPECT_NEAR(got[i].dist, want[i].dist, 1e-6);
-        }
+        expectSameNeighbours(kd->nearest(q, 3), bruteForce(brute, q, 3));
     }
 }
 

@@ -133,8 +133,9 @@ TEST(PollutionDefense, MaliciousAppGetsBannedAndSuppressed)
     // Banned entries are no longer served...
     LookupResult r =
         service.lookup("victim", "f", "vec", FeatureVector({0.0f}));
-    if (r.hit)
+    if (r.hit) {
         EXPECT_NE(decodeInt(r.value), 666);
+    }
     EXPECT_GT(service.stats().banned_hits_suppressed, 0u);
 
     // ...and new puts from the attacker are rejected.

@@ -6,8 +6,10 @@
  * exceptions, capacity respected, exact keys findable) rather than
  * exact counts — interleavings vary — and are the workload the
  * ThreadSanitizer stage of scripts/check.sh runs to prove the shard
- * locking, the kd-tree lazy rebuild and the LSH lazy projections are
- * race-free — and that the shm ring transport's SPSC protocol
+ * locking, the flat index's filter fits (inside insert, under the
+ * exclusive lock, while lookups read under the shared one) and the LSH
+ * lazy projections are race-free — and that the shm ring transport's
+ * SPSC protocol
  * (free-running head/tail counters, futex doorbells, wrap/rewind
  * markers, spill over the side socket) is race-free with the
  * producer and consumer of each ring on different threads.
@@ -79,8 +81,8 @@ runMixedWorkload(PotluckConfig cfg, IndexKind kind, int threads,
                     uint64_t x = static_cast<uint64_t>(
                         rng.uniformInt(0, 499));
                     const char *fn = (x % 2) ? "fa" : "fb";
-                    // Mixed dimensions on one index: the kd-tree /
-                    // LSH mixed-dim handling under contention.
+                    // Mixed dimensions on one index: per-length arenas
+                    // and LSH mixed-dim handling under contention.
                     size_t dim = (x % 3) ? 4 : 16;
                     FeatureVector key = keyOf(x, dim);
                     service.lookup(app, fn, "vec", key);
@@ -135,6 +137,61 @@ TEST_P(StressAllIndexes, MixedWorkloadSingleShard)
 TEST_P(StressAllIndexes, MixedWorkloadFourShards)
 {
     runMixedWorkload(stressConfig(4), GetParam(), 4, 300);
+}
+
+TEST_P(StressAllIndexes, FilterFitsUnderConcurrentLookups)
+{
+    // Enough 64-d keys in one shard to take the flat index past its
+    // first filter fit (256 rows) and its refit (512), while readers
+    // probe the same slot under the shared lock.
+    PotluckConfig cfg = stressConfig(1);
+    cfg.max_entries = 4096;
+    cfg.default_ttl_us = 3600ULL * 1000 * 1000;
+    cfg.dropout_probability = 0.0;
+    PotluckService service(cfg);
+    service.registerKeyType("f", {"vec", Metric::L2, GetParam()});
+    constexpr int kKeys = 600;
+    std::vector<FeatureVector> keys;
+    Rng rng(77);
+    for (int i = 0; i < kKeys; ++i) {
+        std::vector<float> v(64);
+        for (float &x : v)
+            x = static_cast<float>(rng.gaussian(0.0, 4.0));
+        keys.emplace_back(std::move(v));
+    }
+
+    std::atomic<int> errors{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> threads;
+    threads.emplace_back([&]() {
+        try {
+            for (int i = 0; i < kKeys; ++i)
+                service.put("f", "vec", keys[i], encodeInt(i), {});
+        } catch (...) {
+            ++errors;
+        }
+        done.store(true, std::memory_order_release);
+    });
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t]() {
+            try {
+                Rng pick(300 + static_cast<uint64_t>(t));
+                while (!done.load(std::memory_order_acquire))
+                    service.lookup("app", "f", "vec",
+                                   keys[pick.uniformInt(0, kKeys - 1)]);
+            } catch (...) {
+                ++errors;
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(errors.load(), 0);
+    for (int i = 0; i < kKeys; i += 7) {
+        LookupResult r = service.lookup("app", "f", "vec", keys[i]);
+        ASSERT_TRUE(r.hit) << "key " << i;
+        EXPECT_EQ(decodeInt(r.value), i);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, StressAllIndexes,

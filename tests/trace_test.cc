@@ -710,8 +710,9 @@ TEST(FaultInjectionTrace, GarbledFramesLeaveRecorderConsistent)
         for (const obs::TraceRecord &r : recorder->snapshot()) {
             EXPECT_LE(static_cast<uint8_t>(r.kind), 1u);
             EXPECT_LE(static_cast<uint8_t>(r.decision), 5u);
-            if (r.kind == obs::RecordKind::Span)
+            if (r.kind == obs::RecordKind::Span) {
                 EXPECT_NE(r.span_id, 0u);
+            }
         }
         // The exporters walk the snapshot without tripping ASan.
         obs::toChromeTrace(recorder->snapshot());
@@ -754,8 +755,9 @@ TEST(FaultInjectionTrace, TruncatedFramesDoNotLeakSpans)
     EXPECT_EQ(obs::activeTrace().recorder, nullptr);
     EXPECT_EQ(obs::activeTrace().pending_count, 0u);
     for (const obs::TraceRecord &r : client.recorder()->snapshot()) {
-        if (r.kind == obs::RecordKind::Span)
+        if (r.kind == obs::RecordKind::Span) {
             EXPECT_NE(r.span_id, 0u);
+        }
     }
     obs::toChromeTrace(client.recorder()->snapshot());
 }

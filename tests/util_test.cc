@@ -147,7 +147,7 @@ TEST(Clock, StopwatchMeasuresElapsed)
     Stopwatch sw;
     volatile double sink = 0.0;
     for (int i = 0; i < 100000; ++i)
-        sink += std::sqrt(static_cast<double>(i));
+        sink = sink + std::sqrt(static_cast<double>(i));
     EXPECT_GT(sw.elapsedUs(), 0.0);
     (void)sink;
 }
