@@ -10,8 +10,8 @@
 # fault hooks in and exercises the FaultInjection.* torture tests that
 # are preprocessed away from release builds.
 #
-# A final smoke test starts the sanitized potluckd (sharded, to cover
-# the concurrent hot path), drives a small multi-app workload through
+# A final smoke test starts the sanitized potluckd, drives a small
+# multi-app, two-function workload (two lock domains) through
 # potluck_cli — including the batched mput/mget verbs — and validates
 # the exported flight-recorder trace: `potluck_cli trace --json` must
 # parse with `python3 -m json.tool` and contain the minimal Chrome
@@ -26,7 +26,7 @@
 #
 # A cluster stage then boots a 3-daemon full mesh (--peers), drives a
 # cross-node mput/mget through it, asserts the mesh recorded remote
-# hits (cluster_remote_hit in the Prometheus export), and verifies the
+# hits (cluster_remote_hit_total in the Prometheus export), and verifies the
 # survivors keep serving after one daemon is killed.
 #
 # An HTTP observability stage boots a 2-daemon mesh with --http-port,
@@ -41,7 +41,7 @@
 # A tiered-store stage starts a sanitized daemon with --store-dir,
 # writes entries, SIGKILLs it (no snapshot, no sidecar rewrite), and
 # restarts it on the same directory: every pre-kill entry must hit
-# again, served by promotion from the mmap'd cold tier (store_promotions
+# again, served by promotion from the mmap'd cold tier (store_promotions_total
 # in the Prometheus export), with the function registration recovered
 # from the segment log rather than re-registered.
 #
@@ -49,10 +49,10 @@
 # build with daemon A's disk rotting bits on append
 # (POTLUCK_FS_FAULTS=bit_flip): `potluck_cli scrub` must quarantine the
 # rotten frames, the daemon's anti-entropy tick must re-fetch them from
-# the clean replica (cluster_repair_hits), and every key must be served
+# the clean replica (cluster_repair_hits_total), and every key must be served
 # again afterwards. A second fault stage fills daemon A's "disk"
 # (write_enospc): puts must keep succeeding RAM-only with
-# store_write_degraded counting each refused write-through, and the
+# store_write_degraded_total counting each refused write-through, and the
 # daemon must stay alive throughout.
 #
 # Unless this run IS the undefined-sanitizer run, the store/scrub test
@@ -61,16 +61,14 @@
 # UB-clean on every check.
 #
 # Unless this run IS the thread-sanitizer run, a last stage builds the
-# concurrency stress test under ThreadSanitizer and runs it: the shard
-# locking, the flat index's filter fits (inside insert, while readers
+# concurrency stress test under ThreadSanitizer and runs it: the
+# function-domain locking, the flat index's filter fits (inside insert, while readers
 # probe under the shared lock) and LSH lazy projections must be
 # TSan-clean on every check, not only when someone asks for TSan.
 #
-# Every build here compiles with -Werror: the tree builds without a
-# warning, and a new one fails the check. The one exception is GCC's
-# -Wtsan under ThreadSanitizer, which stays a warning: it reports that
-# TSan cannot model the two std::atomic_thread_fence calls in the
-# flight recorder's seqlock (src/obs/trace.cc).
+# Every build here compiles with -Werror, ThreadSanitizer builds
+# included: the tree builds without a warning, and a new one fails the
+# check.
 #
 # Usage: scripts/check.sh [address|thread|undefined]
 set -euo pipefail
@@ -87,18 +85,9 @@ esac
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$ROOT/build-$SANITIZER"
 
-# Compiler flags for a build under sanitizer $1.
-werror_flags() {
-    if [ "$1" = thread ]; then
-        echo "-Werror -Wno-error=tsan"
-    else
-        echo "-Werror"
-    fi
-}
-
 cmake -S "$ROOT" -B "$BUILD" -DPOTLUCK_SANITIZE="$SANITIZER" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="$(werror_flags "$SANITIZER")"
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
@@ -107,7 +96,7 @@ echo "check.sh: all tests passed under ${SANITIZER} sanitizer"
 FAULT_BUILD="$ROOT/build-$SANITIZER-fault"
 cmake -S "$ROOT" -B "$FAULT_BUILD" -DPOTLUCK_SANITIZE="$SANITIZER" \
     -DPOTLUCK_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="$(werror_flags "$SANITIZER")"
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$FAULT_BUILD" -j "$(nproc)"
 ctest --test-dir "$FAULT_BUILD" --output-on-failure -j "$(nproc)"
 
@@ -122,9 +111,8 @@ DAEMON="$BUILD/tools/potluckd"
 CLI="$BUILD/tools/potluck_cli"
 
 # --dropout 0: a probabilistic dropout would turn `get` into exit 2
-# and fail the script at random. --shards 4: the smoke test should
-# drive the sharded hot path, not the single-shard special case.
-"$DAEMON" --socket "$SOCK" --stats-sec 0 --dropout 0 --shards 4 \
+# and fail the script at random.
+"$DAEMON" --socket "$SOCK" --stats-sec 0 --dropout 0 \
     --trace-slo-us 0 --trace-dump "$TRACE_JSON" &
 DAEMON_PID=$!
 cleanup() {
@@ -142,10 +130,14 @@ done
 
 # A small cross-application workload: two "apps" (each CLI invocation
 # registers as one) sharing a function, so the trace shows lookups from
-# more than one client.
+# more than one client, plus a second function, so the traffic drives
+# two lock domains.
 "$CLI" --socket "$SOCK" register recognize vec
+"$CLI" --socket "$SOCK" register translate vec
 "$CLI" --socket "$SOCK" put recognize vec 1,2,3 hello
 "$CLI" --socket "$SOCK" get recognize vec 1,2,3
+"$CLI" --socket "$SOCK" put translate vec 1,2,3 bonjour
+"$CLI" --socket "$SOCK" get translate vec 1,2,3
 "$CLI" --socket "$SOCK" put recognize vec 4,5,6 world
 "$CLI" --socket "$SOCK" get recognize vec 4,5,6
 # Batched verbs: one frame, many keys (kPutBatch / kLookupBatch).
@@ -315,7 +307,7 @@ sleep 1 # async replication fan-out reaches the slot owners
 REMOTE_HITS=0
 for s in "$CSOCK1" "$CSOCK2" "$CSOCK3"; do
     v="$("$CLI" --socket "$s" stats --prom |
-        awk '$1 == "cluster_remote_hit" { print $2 }')"
+        awk '$1 == "cluster_remote_hit_total" { print $2 }')"
     REMOTE_HITS=$((REMOTE_HITS + ${v:-0}))
 done
 [ "$REMOTE_HITS" -gt 0 ] || {
@@ -514,7 +506,7 @@ done
 # mget exits non-zero if any key misses: all three must hit.
 "$CLI" --socket "$SSOCK" mget warmres vec 1,1,1 2,2,2 3,3,3
 PROMOTED="$("$CLI" --socket "$SSOCK" stats --prom |
-    awk '$1 == "store_promotions" { print $2 }')"
+    awk '$1 == "store_promotions_total" { print $2 }')"
 [ "${PROMOTED:-0}" -ge 3 ] || {
     echo "check.sh: restarted daemon did not serve from the cold tier" >&2
     exit 1
@@ -570,7 +562,7 @@ sleep 1 # replicas fan out to B
 "$FCLI" --socket "$XSOCK_A" scrub # quarantines the rotted frames
 "$FCLI" --socket "$XSOCK_A" scrub --json > /dev/null
 CORRUPT="$("$FCLI" --socket "$XSOCK_A" stats --prom |
-    awk '$1 == "store_scrub_corrupt" { print $2 }')"
+    awk '$1 == "store_scrub_corrupt_total" { print $2 }')"
 [ "${CORRUPT:-0}" -ge 1 ] || {
     echo "check.sh: scrub found no injected bit-rot" >&2
     exit 1
@@ -579,7 +571,7 @@ CORRUPT="$("$FCLI" --socket "$XSOCK_A" stats --prom |
 # The anti-entropy tick fires once a second; give it two.
 sleep 2.5
 REPAIRED="$("$FCLI" --socket "$XSOCK_A" stats --prom |
-    awk '$1 == "cluster_repair_hits" { print $2 }')"
+    awk '$1 == "cluster_repair_hits_total" { print $2 }')"
 [ "${REPAIRED:-0}" -ge 1 ] || {
     echo "check.sh: no quarantined entry was repaired from the replica" >&2
     exit 1
@@ -619,7 +611,7 @@ done
 "$FCLI" --socket "$ENO_SOCK" mput full vec 1,1,1=a 2,2,2=b 3,3,3=c
 "$FCLI" --socket "$ENO_SOCK" get full vec 1,1,1
 DEGRADED="$("$FCLI" --socket "$ENO_SOCK" stats --prom |
-    awk '$1 == "store_write_degraded" { print $2 }')"
+    awk '$1 == "store_write_degraded_total" { print $2 }')"
 [ "${DEGRADED:-0}" -ge 1 ] || {
     echo "check.sh: full disk did not count degraded writes" >&2
     exit 1
@@ -639,7 +631,7 @@ if [ "$SANITIZER" != "undefined" ]; then
     UBSAN_BUILD="$ROOT/build-undefined"
     cmake -S "$ROOT" -B "$UBSAN_BUILD" -DPOTLUCK_SANITIZE=undefined \
         -DPOTLUCK_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$(werror_flags undefined)"
+        -DCMAKE_CXX_FLAGS=-Werror
     cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
         --target store_test store_warm_restart_test store_scrub_test
     "$UBSAN_BUILD/tests/store_test"
@@ -651,12 +643,12 @@ fi
 # ---- ThreadSanitizer concurrency stage --------------------------------
 # The full suite already ran under TSan when that was the requested
 # sanitizer; otherwise build just the stress test under TSan and run
-# it, so every check proves the sharded service race-free.
+# it, so every check proves the service's domain locking race-free.
 if [ "$SANITIZER" != "thread" ]; then
     TSAN_BUILD="$ROOT/build-thread"
     cmake -S "$ROOT" -B "$TSAN_BUILD" -DPOTLUCK_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="$(werror_flags thread)"
+        -DCMAKE_CXX_FLAGS=-Werror
     cmake --build "$TSAN_BUILD" -j "$(nproc)" --target stress_test
     "$TSAN_BUILD/tests/stress_test"
     echo "check.sh: stress test clean under ThreadSanitizer"

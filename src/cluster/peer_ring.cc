@@ -9,7 +9,7 @@ namespace potluck::cluster {
 
 namespace {
 
-/** FNV-1a, the same mixing as PotluckService::shardOf. */
+/** FNV-1a (64-bit offset basis and prime). */
 uint64_t
 fnv1a(const void *data, size_t len, uint64_t h = 1469598103934665603ULL)
 {
@@ -31,8 +31,7 @@ fnv1aStr(const std::string &s, uint64_t h)
  * Bit-mixing finalizer (splitmix64). FNV-1a alone avalanches poorly
  * on short strings like "#17", which skews the ring badly — one
  * member of three can end up owning < 10% of the slots. Ring
- * placement needs uniform high bits; shardOf gets away without this
- * because it only takes the hash modulo a tiny shard count.
+ * placement needs uniform high bits.
  */
 uint64_t
 mix(uint64_t h)

@@ -14,8 +14,8 @@
  * The virtual-node hashes depend only on the member STRINGS, never on
  * local ordering, so every node in a full mesh computes the identical
  * ring and agrees on each slot's owner without any coordination.
- * Placement reuses the FNV-1a idiom of PotluckService::shardOf — the
- * federation tier is "sharding, one level up".
+ * Inside one daemon the unit of placement is coarser still: a
+ * function is one lock domain of its service (DESIGN.md §10).
  */
 #ifndef POTLUCK_CLUSTER_PEER_RING_H
 #define POTLUCK_CLUSTER_PEER_RING_H

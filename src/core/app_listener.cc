@@ -90,8 +90,8 @@ AppListener::execute(const Request &request)
       }
       case RequestType::LookupBatch: {
         // The batched service entry point amortizes slot resolution,
-        // dropout bookkeeping and shard locking across the batch —
-        // the reply values are shared_ptrs into shard storage, so no
+        // dropout bookkeeping and domain locking across the batch —
+        // the reply values are shared_ptrs into cache storage, so no
         // payload bytes are copied until the transport marshals them.
         std::vector<LookupResult> batch = service_.lookupBatch(
             request.app, request.function, request.key_type,

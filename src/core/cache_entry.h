@@ -49,10 +49,10 @@ struct CacheEntry
     double compute_overhead_us = 0.0;
 
     /**
-     * Hit count. Atomic because lookup() bumps it under the shard's
-     * SHARED lock (concurrent hits on the same entry must not race);
-     * everything else about the entry is immutable after insertion or
-     * mutated only under the shard's exclusive lock.
+     * Hit count. Atomic because lookup() bumps it under its function
+     * domain's SHARED lock (concurrent hits on the same entry must not
+     * race); everything else about the entry is immutable after
+     * insertion or mutated only under the domain's exclusive lock.
      */
     std::atomic<uint64_t> access_frequency{1};
     /// @}

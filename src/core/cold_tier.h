@@ -18,7 +18,7 @@
  * implementations may do file I/O and take their own locks freely.
  * promote() may be called concurrently from many lookup threads;
  * admit()/demote()/forget() are serialized per entry by the service's
- * shard/capacity locking but may interleave across entries.
+ * domain/capacity locking but may interleave across entries.
  */
 #ifndef POTLUCK_CORE_COLD_TIER_H
 #define POTLUCK_CORE_COLD_TIER_H

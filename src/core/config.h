@@ -50,30 +50,6 @@ struct PotluckConfig
     /** Seed for the service's internal randomness (dropout etc.). */
     uint64_t seed = 42;
 
-    /// @name Sharding (service hot-path parallelism).
-    /// @{
-    /**
-     * Number of independent shards the service splits storage, indices,
-     * eviction accounting and the tuner observation stream across. Each
-     * shard has its own reader/writer lock, so lookups and puts that
-     * land on different shards proceed in parallel. 1 (the default)
-     * reproduces the paper's single observation stream exactly and is
-     * what the deterministic experiments use; the daemon and the
-     * concurrency benchmarks run with more. 0 is treated as 1.
-     */
-    size_t num_shards = 1;
-
-    /**
-     * Fan kNN probes out across shards on the service's thread pool
-     * instead of probing them sequentially on the calling thread.
-     * Sequential probing (the default) is faster for microsecond-scale
-     * indices — cross-connection parallelism already comes from the
-     * per-shard reader locks — while pool fan-out helps single-threaded
-     * clients over very large per-shard indices.
-     */
-    bool parallel_fanout = false;
-    /// @}
-
     /**
      * Record hot-path latency histograms (POTLUCK_SPAN timings for
      * lookup/put stages). Counters and gauges are always maintained —

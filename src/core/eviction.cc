@@ -1,5 +1,7 @@
 #include "core/eviction.h"
 
+#include <iterator>
+
 #include "util/logging.h"
 
 namespace potluck {
@@ -39,11 +41,17 @@ EntryId
 RandomEviction::selectVictim(const std::map<EntryId, CacheEntry> &entries)
 {
     POTLUCK_ASSERT(!entries.empty(), "eviction from empty cache");
-    size_t idx = static_cast<size_t>(
-        rng_.uniformInt(0, static_cast<int64_t>(entries.size()) - 1));
-    auto it = entries.begin();
-    std::advance(it, idx);
-    return it->first;
+    return std::next(entries.begin(),
+                     static_cast<std::ptrdiff_t>(
+                         *victimPosition(entries.size())))
+        ->first;
+}
+
+std::optional<size_t>
+RandomEviction::victimPosition(size_t total)
+{
+    return static_cast<size_t>(
+        rng_.uniformInt(0, static_cast<int64_t>(total) - 1));
 }
 
 bool

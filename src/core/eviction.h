@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/cache_entry.h"
 #include "core/config.h"
@@ -32,18 +33,30 @@ class EvictionPolicy
     virtual EntryId selectVictim(const std::map<EntryId, CacheEntry> &entries) = 0;
 
     /**
-     * Total-order score for cross-shard victim selection: the sharded
-     * service picks each shard's selectVictim() candidate, then evicts
-     * the one with the LOWEST score, so per-shard winners compare on
-     * the same scale the policy ranked them by. Random eviction is the
-     * exception — it has no score, and the service picks the shard by
-     * entry-count weighting instead (kind() == Random).
+     * Total-order score for victim selection across several entry
+     * tables (the service keeps one per function): each table's
+     * selectVictim() candidate competes, and the one with the LOWEST
+     * score loses, ties to the lowest id — the entry selectVictim()
+     * would pick from all tables merged.
      */
     virtual double
     victimScore(const CacheEntry &entry) const
     {
         (void)entry;
         return 0.0;
+    }
+
+    /**
+     * For policies that pick by position rather than by score: the
+     * victim's position among `total` (> 0) entries, counted across
+     * the tables in a fixed order. nullopt (the default) means compare
+     * victimScore() instead.
+     */
+    virtual std::optional<size_t>
+    victimPosition(size_t total)
+    {
+        (void)total;
+        return std::nullopt;
     }
 };
 
@@ -87,6 +100,9 @@ class RandomEviction : public EvictionPolicy
     EvictionKind kind() const override { return EvictionKind::Random; }
     EntryId
     selectVictim(const std::map<EntryId, CacheEntry> &entries) override;
+
+    /** One uniform draw over [0, total). */
+    std::optional<size_t> victimPosition(size_t total) override;
 
   private:
     Rng rng_;

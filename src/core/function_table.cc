@@ -5,22 +5,71 @@
 
 namespace potluck {
 
+KeyIndex *
+FunctionDomain::find(const std::string &key_type) const
+{
+    auto it = slots.find(key_type);
+    return it == slots.end() ? nullptr : it->second.get();
+}
+
+CacheEntry &
+FunctionDomain::insert(CacheEntry entry)
+{
+    CacheEntry &stored = storage.add(std::move(entry));
+    for (auto &[name, slot] : slots) {
+        auto kit = stored.keys.find(name);
+        if (kit == stored.keys.end())
+            continue;
+        slot->index->insert(stored.id, kit->second);
+        slot->tuner.noteInsert();
+    }
+    return stored;
+}
+
+CacheEntry
+FunctionDomain::remove(EntryId id)
+{
+    const CacheEntry *entry = storage.find(id);
+    if (!entry)
+        return {};
+    unindex(*entry);
+    return storage.remove(id);
+}
+
+void
+FunctionDomain::unindex(const CacheEntry &entry)
+{
+    for (auto &[name, slot] : slots) {
+        if (entry.keys.count(name))
+            slot->index->remove(entry.id);
+    }
+}
+
+FunctionDomain &
+FunctionTable::addFunction(const std::string &function)
+{
+    POTLUCK_ASSERT(!function.empty(), "empty function name");
+    auto &domain = functions_[function];
+    if (!domain) {
+        domain = std::make_unique<FunctionDomain>(function);
+        order_.push_back(domain.get());
+    }
+    return *domain;
+}
+
 KeyIndex &
 FunctionTable::ensure(const std::string &function, const KeyTypeConfig &cfg)
 {
-    POTLUCK_ASSERT(!function.empty(), "empty function name");
     POTLUCK_ASSERT(!cfg.name.empty(), "empty key type name");
-    auto &types = functions_[function];
-    auto it = types.find(cfg.name);
-    if (it != types.end()) {
-        KeyIndex &slot = *it->second;
-        if (slot.config.metric != cfg.metric ||
-            slot.config.index_kind != cfg.index_kind) {
+    FunctionDomain &domain = addFunction(function);
+    if (KeyIndex *slot = domain.find(cfg.name)) {
+        if (slot->config.metric != cfg.metric ||
+            slot->config.index_kind != cfg.index_kind) {
             POTLUCK_FATAL("key type '"
                           << cfg.name << "' re-registered for function '"
                           << function << "' with conflicting settings");
         }
-        return slot;
+        return *slot;
     }
     std::unique_ptr<Index> index;
     if (cfg.index_kind == IndexKind::Lsh) {
@@ -33,61 +82,42 @@ FunctionTable::ensure(const std::string &function, const KeyTypeConfig &cfg)
     }
     auto slot = std::make_unique<KeyIndex>(cfg, std::move(index), config_);
     KeyIndex &ref = *slot;
-    types.emplace(cfg.name, std::move(slot));
+    domain.slots.emplace(cfg.name, std::move(slot));
     return ref;
 }
 
-KeyIndex *
-FunctionTable::find(const std::string &function, const std::string &key_type)
+FunctionDomain *
+FunctionTable::domain(const std::string &function) const
 {
-    auto fit = functions_.find(function);
-    if (fit == functions_.end())
-        return nullptr;
-    auto tit = fit->second.find(key_type);
-    if (tit == fit->second.end())
-        return nullptr;
-    return tit->second.get();
+    auto it = functions_.find(function);
+    return it == functions_.end() ? nullptr : it->second.get();
 }
 
-const KeyIndex *
+KeyIndex *
 FunctionTable::find(const std::string &function,
                     const std::string &key_type) const
 {
-    return const_cast<FunctionTable *>(this)->find(function, key_type);
+    FunctionDomain *d = domain(function);
+    return d ? d->find(key_type) : nullptr;
 }
 
 std::vector<KeyIndex *>
-FunctionTable::slotsFor(const std::string &function)
+FunctionTable::slotsFor(const std::string &function) const
 {
     std::vector<KeyIndex *> out;
-    auto fit = functions_.find(function);
-    if (fit == functions_.end())
-        return out;
-    out.reserve(fit->second.size());
-    for (auto &[name, slot] : fit->second)
-        out.push_back(slot.get());
+    if (FunctionDomain *d = domain(function)) {
+        out.reserve(d->slots.size());
+        for (auto &[name, slot] : d->slots)
+            out.push_back(slot.get());
+    }
     return out;
 }
 
 void
 FunctionTable::removeEntry(const CacheEntry &entry)
 {
-    auto fit = functions_.find(entry.function);
-    if (fit == functions_.end())
-        return;
-    for (auto &[name, slot] : fit->second) {
-        if (entry.keys.count(name))
-            slot->index->remove(entry.id);
-    }
-}
-
-void
-FunctionTable::forEachSlot(
-    const std::function<void(const std::string &, KeyIndex &)> &fn)
-{
-    for (auto &[function, types] : functions_)
-        for (auto &[name, slot] : types)
-            fn(function, *slot);
+    if (FunctionDomain *d = domain(entry.function))
+        d->unindex(entry);
 }
 
 } // namespace potluck

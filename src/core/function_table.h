@@ -2,7 +2,8 @@
  * @file
  * The multi-level cache layout of Fig. 5: function name -> key type ->
  * key index. Each (function, key type) pair owns an Index plus its
- * ThresholdTuner (tuning is per key index, Section 3.7).
+ * ThresholdTuner (tuning is per key index, Section 3.7); each function
+ * owns the entries its slots index, behind one lock (FunctionDomain).
  */
 #ifndef POTLUCK_CORE_FUNCTION_TABLE_H
 #define POTLUCK_CORE_FUNCTION_TABLE_H
@@ -10,12 +11,15 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/data_storage.h"
 #include "core/index.h"
 #include "core/threshold_tuner.h"
+#include "features/extractor.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 
@@ -53,9 +57,9 @@ struct KeyTypeConfig
 /**
  * Per-slot operation counters (a function's own hit profile).
  * The counters are atomic because the service bumps lookups/hits/
- * misses under a SHARED shard lock (concurrent lookups on the same
- * slot must not race); copies (the slotStats() snapshot) transfer the
- * values relaxed.
+ * misses with at most a SHARED domain lock held (concurrent lookups on
+ * the same slot must not race); copies (the slotStats() snapshot)
+ * transfer the values relaxed.
  */
 struct SlotStats
 {
@@ -103,6 +107,10 @@ struct KeyIndex
     ThresholdTuner tuner;
     SlotStats stats;
 
+    /** Derives this slot's key from a put's raw input (Section 3.7);
+     * null when puts always carry the key. Guarded by the domain. */
+    std::shared_ptr<FeatureExtractor> extractor;
+
     /// @name Per-FUNCTION observability hooks (src/obs).
     /// Slots of the same function share these registry objects, so a
     /// lookup bumps its function's counters without a map probe. The
@@ -119,8 +127,8 @@ struct KeyIndex
     obs::LatencyHistogram *fn_lookup_ns = nullptr;
     /// @}
 
-    /** Microsecond carry feeding fn_saved_ms (relaxed atomic; bumped
-     * through the canonical shard-0 slot like SlotStats). */
+    /** Microsecond carry feeding fn_saved_ms (relaxed atomic, bumped
+     * with no lock held like SlotStats). */
     std::atomic<uint64_t> saved_us_carry{0};
 
     KeyIndex(KeyTypeConfig cfg, std::unique_ptr<Index> idx,
@@ -129,43 +137,81 @@ struct KeyIndex
     {}
 };
 
-/** Two-level map from function name to key-type slots (Fig. 5). */
+/**
+ * One function's row of Fig. 5 — its key-type slots and the entries
+ * they index — and the service's unit of locking (DESIGN.md §10).
+ * Every key of an entry belongs to a slot of its function (Section
+ * 3.7), so `mutex` covers everything one lookup or put touches: the
+ * slots' indices and tuners and the storage. The slot map itself
+ * changes only under both `mutex` and the owner's table lock.
+ */
+struct FunctionDomain
+{
+    explicit FunctionDomain(std::string name) : function(std::move(name)) {}
+
+    const std::string function;
+    mutable std::shared_mutex mutex;
+    /** Key type -> slot. Grows only, so slot addresses are stable. */
+    std::unordered_map<std::string, std::unique_ptr<KeyIndex>> slots;
+    DataStorage storage;
+
+    /** The slot for a key type; nullptr if never registered. */
+    KeyIndex *find(const std::string &key_type) const;
+
+    /** Store an entry and index it under every key it carries; each
+     * indexing slot's tuner counts the insert towards its warm-up. */
+    CacheEntry &insert(CacheEntry entry);
+
+    /** Unindex and remove an entry, handing it back by move; a default
+     * entry (id 0) when the id is not stored. */
+    CacheEntry remove(EntryId id);
+
+    /** Remove an entry's keys from every slot that indexes them. */
+    void unindex(const CacheEntry &entry);
+};
+
+/** Two-level map from function name to key-type slots (Fig. 5). Not
+ * synchronized: the owner serializes changes against readers. */
 class FunctionTable
 {
   public:
     explicit FunctionTable(const PotluckConfig &config) : config_(config) {}
 
+    /** The function's domain, created empty on first use. */
+    FunctionDomain &addFunction(const std::string &function);
+
     /**
      * Ensure a slot exists for (function, key type); returns it.
      * Re-registration with a different metric or index kind is a
-     * caller error (FatalError).
+     * caller error (FatalError). Index seeds follow the global order
+     * in which slots are first registered.
      */
     KeyIndex &ensure(const std::string &function, const KeyTypeConfig &cfg);
 
+    /** The function's domain; nullptr if it was never registered. */
+    FunctionDomain *domain(const std::string &function) const;
+
     /** Find a slot; nullptr if the pair was never registered. */
-    KeyIndex *find(const std::string &function, const std::string &key_type);
-    const KeyIndex *find(const std::string &function,
-                         const std::string &key_type) const;
+    KeyIndex *find(const std::string &function,
+                   const std::string &key_type) const;
 
     /** All slots registered for a function (empty if unknown). */
-    std::vector<KeyIndex *> slotsFor(const std::string &function);
+    std::vector<KeyIndex *> slotsFor(const std::string &function) const;
 
     /** Remove an entry's keys from every index of its function. */
     void removeEntry(const CacheEntry &entry);
 
-    /** Visit every slot (for diagnostics and whole-cache sweeps). */
-    void forEachSlot(const std::function<void(const std::string &,
-                                              KeyIndex &)> &fn);
+    /** Every function's domain, in registration order. */
+    const std::vector<FunctionDomain *> &domains() const { return order_; }
 
-    size_t numFunctions() const { return functions_.size(); }
+    size_t numFunctions() const { return order_.size(); }
 
   private:
     PotluckConfig config_;
     uint64_t next_index_seed_ = 1;
-    std::unordered_map<std::string,
-                       std::unordered_map<std::string,
-                                          std::unique_ptr<KeyIndex>>>
+    std::unordered_map<std::string, std::unique_ptr<FunctionDomain>>
         functions_;
+    std::vector<FunctionDomain *> order_;
 };
 
 } // namespace potluck

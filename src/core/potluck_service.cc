@@ -1,7 +1,7 @@
 #include "core/potluck_service.h"
 
 #include <algorithm>
-#include <future>
+#include <iterator>
 #include <mutex>
 
 #include "obs/span.h"
@@ -11,7 +11,7 @@ namespace potluck {
 
 PotluckService::PotluckService(PotluckConfig config, Clock *clock)
     : config_(config), clock_(clock),
-      metrics_(std::make_unique<obs::MetricsRegistry>()),
+      metrics_(std::make_unique<obs::MetricsRegistry>()), table_(config),
       eviction_(makeEvictionPolicy(config.eviction, config.seed)),
       demotion_policy_(config.demotion_min_ttl_us), rng_(config.seed),
       reputation_(config.reputation_ban_score,
@@ -63,22 +63,6 @@ PotluckService::PotluckService(PotluckConfig config, Clock *clock)
         recorder_ = std::make_unique<obs::FlightRecorder>(tc);
     }
 
-    size_t n = std::max<size_t>(1, config_.num_shards);
-    shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        auto shard = std::make_unique<Shard>(config_);
-        if (n > 1) {
-            std::string prefix = "cache.shard." + std::to_string(i);
-            shard->entries_gauge = &reg.gauge(prefix + ".entries");
-            shard->bytes_gauge = &reg.gauge(prefix + ".bytes");
-        }
-        shards_.push_back(std::move(shard));
-    }
-    if (n > 1 && config_.enable_tracing)
-        obs_.fanout_ns = &reg.histogram("service.shard_fanout_ns");
-    if (n > 1 && config_.parallel_fanout)
-        fanout_pool_ = std::make_unique<ThreadPool>(std::min<size_t>(n, 8));
-
     if (config_.enable_heat) {
         obs::HeatConfig hc;
         hc.stripes = std::max<size_t>(1, config_.heat_stripes);
@@ -90,47 +74,32 @@ PotluckService::PotluckService(PotluckConfig config, Clock *clock)
     start_us_ = clock_->nowUs();
 }
 
-size_t
-PotluckService::shardOf(const std::string &function,
-                        const FeatureVector &key) const
+PotluckService::SlotRef
+PotluckService::findSlot(const std::string &function,
+                         const std::string &key_type) const
 {
-    if (shards_.size() == 1)
-        return 0;
-    // FNV-1a over the function name and the key's float bytes. Similar
-    // keys hash to unrelated shards — which is why lookups probe every
-    // shard — but placement is deterministic, so a snapshot reload
-    // under the same shard count reproduces the same layout.
-    uint64_t h = 1469598103934665603ULL;
-    auto mix = [&h](const void *data, size_t len) {
-        const auto *bytes = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < len; ++i) {
-            h ^= bytes[i];
-            h *= 1099511628211ULL;
-        }
-    };
-    mix(function.data(), function.size());
-    if (!key.empty())
-        mix(key.values().data(), key.size() * sizeof(float));
-    return static_cast<size_t>(h % shards_.size());
+    std::shared_lock lock(table_mutex_);
+    FunctionDomain *domain = table_.domain(function);
+    return {domain, domain ? domain->find(key_type) : nullptr};
 }
 
-KeyIndex *
-PotluckService::canonicalSlot(const std::string &function,
-                              const std::string &key_type, const char *verb)
+PotluckService::SlotRef
+PotluckService::resolve(const std::string &function,
+                        const std::string &key_type, const char *verb) const
 {
-    // Shard 0 is the canonical registration check: registerKeyType()
-    // replicates to it LAST, so a slot visible here exists everywhere.
-    // The returned pointer is stable (slots are heap-allocated and
-    // never removed); its SlotStats and fn_* counters are atomic, so
-    // they are bumped without holding the lock.
-    Shard &s0 = *shards_[0];
-    std::shared_lock lock(s0.mutex);
-    KeyIndex *slot = s0.table.find(function, key_type);
-    if (!slot) {
+    SlotRef ref = findSlot(function, key_type);
+    if (!ref.slot) {
         POTLUCK_FATAL(verb << " on unregistered (function='" << function
                            << "', key type='" << key_type << "')");
     }
-    return slot;
+    return ref;
+}
+
+std::vector<FunctionDomain *>
+PotluckService::domains() const
+{
+    std::shared_lock lock(table_mutex_);
+    return table_.domains();
 }
 
 void
@@ -138,21 +107,20 @@ PotluckService::registerKeyType(const std::string &function,
                                 const KeyTypeConfig &cfg,
                                 std::shared_ptr<FeatureExtractor> extractor)
 {
-    // Replicate the registration to every shard, shard 0 LAST: the
-    // data path treats shard 0 as the canonical existence check, so by
-    // the time a slot appears there, every other shard already has it
-    // (probes of a not-yet-registered shard just skip it).
-    for (size_t i = shards_.size(); i-- > 0;) {
-        Shard &shard = *shards_[i];
-        std::unique_lock lock(shard.mutex);
-        KeyIndex &slot = shard.table.ensure(function, cfg);
+    {
+        // A new slot changes its domain's slot map, which readers walk
+        // under the domain lock alone: hold both locks.
+        std::unique_lock table_lock(table_mutex_);
+        FunctionDomain &domain = table_.addFunction(function);
+        std::unique_lock domain_lock(domain.mutex);
+        KeyIndex &slot = table_.ensure(function, cfg);
         // Share one set of per-function metrics across the function's
-        // slots AND across shards (the registry returns the same
-        // object for the same name). Assign them only when the slot is
-        // new: lookup() reads these pointers through its cached slot
-        // with no shard lock held, so a re-registration (an app
-        // reconnecting, a replica delivery) must never write them —
-        // the registry would hand back the same objects anyway.
+        // slots (the registry returns the same object for the same
+        // name). Assign them only when the slot is new: lookup() reads
+        // these pointers through its resolved slot with no lock held,
+        // so a re-registration (an app reconnecting, a replica
+        // delivery) must never write them — the registry would hand
+        // back the same objects anyway.
         if (!slot.fn_lookups) {
             slot.fn_lookups =
                 &metrics_->counter("fn." + function + ".lookups");
@@ -165,13 +133,11 @@ PotluckService::registerKeyType(const std::string &function,
             slot.fn_lookup_ns =
                 &metrics_->histogram("fn." + function + ".lookup_ns");
         }
-    }
-    if (extractor) {
-        std::lock_guard<std::mutex> meta(meta_mutex_);
-        extractors_[{function, cfg.name}] = std::move(extractor);
+        if (extractor)
+            slot.extractor = std::move(extractor);
     }
     // Persist the registration so a warm restart rebuilds the slot
-    // before any application reconnects (no shard lock held here).
+    // before any application reconnects (no service lock held here).
     if (ColdTier *tier = cold_tier_.load(std::memory_order_acquire))
         tier->noteRegistration(function, cfg);
     // A newly added key type covers entries inserted from now on;
@@ -188,48 +154,34 @@ PotluckService::registerApp(const std::string &app)
     // Section 4.3: registration "resets the input similarity
     // threshold". Reset every tuner; a fresh app changes the input
     // distribution, so previously learned diameters are suspect.
-    for (auto &shard : shards_) {
-        std::unique_lock lock(shard->mutex);
-        shard->table.forEachSlot([](const std::string &, KeyIndex &slot) {
-            slot.tuner.reset();
-        });
+    for (FunctionDomain *domain : domains()) {
+        std::unique_lock lock(domain->mutex);
+        for (auto &[name, slot] : domain->slots)
+            slot->tuner.reset();
     }
 }
 
-PotluckService::ProbeOutcome
-PotluckService::probeLookupShard(Shard &shard, const std::string &function,
-                                 const std::string &key_type,
-                                 const FeatureVector &key, uint64_t now)
+PotluckService::Probe
+PotluckService::probeLocked(FunctionDomain &domain, KeyIndex &slot,
+                            const FeatureVector &key, uint64_t now,
+                            bool traced)
 {
-    std::shared_lock lock(shard.mutex);
-    KeyIndex *slot = shard.table.find(function, key_type);
-    if (!slot)
-        return {}; // registration still replicating to this shard
-    return probeSlotLocked(shard, slot, key, now);
-}
-
-PotluckService::ProbeOutcome
-PotluckService::probeSlotLocked(Shard &shard, KeyIndex *slot,
-                                const FeatureVector &key, uint64_t now,
-                                bool traced)
-{
-    ProbeOutcome out;
-    // Threshold-restricted nearest-neighbour query (Section 3.4),
-    // filtered by THIS shard's tuner.
+    Probe out;
+    // Threshold-restricted nearest-neighbour query (Section 3.4).
     std::vector<Neighbor> neighbors;
     if (traced) {
         POTLUCK_TRACE_SPAN("lookup.index_probe", obs_.lookup_probe_ns);
-        neighbors = slot->index->nearest(key, config_.knn);
+        neighbors = slot.index->nearest(key, config_.knn);
     } else {
-        neighbors = slot->index->nearest(key, config_.knn);
+        neighbors = slot.index->nearest(key, config_.knn);
     }
     if (!neighbors.empty())
-        out.nearest_dist = neighbors.front().dist;
-    double threshold = slot->tuner.threshold();
+        out.result.nn_dist = neighbors.front().dist;
+    double threshold = slot.tuner.threshold();
     for (const Neighbor &n : neighbors) {
         if (n.dist > threshold)
             continue;
-        CacheEntry *entry = shard.storage.find(n.id);
+        CacheEntry *entry = domain.storage.find(n.id);
         if (!entry)
             continue;
         if (entry->expiry_us <= now)
@@ -246,18 +198,15 @@ PotluckService::probeSlotLocked(Shard &shard, KeyIndex *slot,
                 continue;
             }
         }
-        // Hit on this shard: bump the importance inputs under the
-        // SHARED lock (both fields are atomic). If another shard wins
-        // the cross-shard merge, this candidate keeps a spurious +1 —
-        // benign for the importance ranking and impossible with one
-        // shard (DESIGN.md §10).
+        // Bump the importance inputs under the SHARED lock (both
+        // fields are atomic).
         entry->access_frequency.fetch_add(1, std::memory_order_relaxed);
         entry->last_access_us.store(now, std::memory_order_relaxed);
-        out.hit.valid = true;
-        out.hit.value = entry->value;
-        out.hit.id = n.id;
-        out.hit.dist = n.dist;
-        out.hit.overhead_us = entry->compute_overhead_us;
+        out.result.hit = true;
+        out.result.value = entry->value;
+        out.result.id = n.id;
+        out.result.nn_dist = n.dist;
+        out.overhead_us = entry->compute_overhead_us;
         break;
     }
     return out;
@@ -275,10 +224,10 @@ PotluckService::lookup(const std::string &app, const std::string &function,
                              obs_.lookup_total_ns, function.c_str());
     obs_.lookups->inc();
 
-    KeyIndex *slot0 = canonicalSlot(function, key_type, "lookup");
-    POTLUCK_SPAN_ATTACH(lookup_span, slot0->fn_lookup_ns);
-    slot0->stats.lookups.fetch_add(1, std::memory_order_relaxed);
-    slot0->fn_lookups->inc();
+    auto [domain, slot] = resolve(function, key_type, "lookup");
+    POTLUCK_SPAN_ATTACH(lookup_span, slot->fn_lookup_ns);
+    slot->stats.lookups.fetch_add(1, std::memory_order_relaxed);
+    slot->fn_lookups->inc();
 
     uint64_t now = clock_->nowUs();
 
@@ -300,58 +249,19 @@ PotluckService::lookup(const std::string &app, const std::string &function,
         }
     }
 
-    // Fan the probe out across shards (each under its SHARED lock) and
-    // merge the per-shard winners by distance.
-    std::vector<ProbeOutcome> outcomes(shards_.size());
-    auto probeOne = [&](size_t i) {
-        outcomes[i] =
-            probeLookupShard(*shards_[i], function, key_type, key, now);
-    };
-    if (shards_.size() == 1) {
-        probeOne(0);
-    } else {
-        POTLUCK_TRACE_SPAN("service.shard_fanout", obs_.fanout_ns);
-        if (fanout_pool_) {
-            std::vector<std::future<void>> futures;
-            futures.reserve(shards_.size() - 1);
-            for (size_t i = 1; i < shards_.size(); ++i)
-                futures.push_back(
-                    fanout_pool_->submit([&probeOne, i] { probeOne(i); }));
-            probeOne(0);
-            for (auto &f : futures)
-                f.get();
-        } else {
-            for (size_t i = 0; i < shards_.size(); ++i)
-                probeOne(i);
-        }
+    Probe probe;
+    {
+        std::shared_lock lock(domain->mutex);
+        probe = probeLocked(*domain, *slot, key, now);
     }
 
-    int best = -1;
-    double nearest = -1.0;
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        const ProbeOutcome &o = outcomes[i];
-        if (o.nearest_dist >= 0.0 &&
-            (nearest < 0.0 || o.nearest_dist < nearest)) {
-            nearest = o.nearest_dist;
-        }
-        if (o.hit.valid &&
-            (best < 0 || o.hit.dist < outcomes[best].hit.dist)) {
-            best = static_cast<int>(i);
-        }
-    }
-
-    if (best >= 0) {
+    if (probe.result.hit) {
         obs_.hits->inc();
-        slot0->stats.hits.fetch_add(1, std::memory_order_relaxed);
-        slot0->fn_hits->inc();
-        accountSavings(slot0, app, outcomes[best].hit.overhead_us);
+        slot->stats.hits.fetch_add(1, std::memory_order_relaxed);
+        slot->fn_hits->inc();
+        accountSavings(*slot, app, probe.overhead_us);
         feedHeat(function, key_type, obs::HeatKind::Hit, now);
-        LookupResult result;
-        result.hit = true;
-        result.value = std::move(outcomes[best].hit.value);
-        result.id = outcomes[best].hit.id;
-        result.nn_dist = outcomes[best].hit.dist;
-        return result;
+        return std::move(probe.result);
     }
 
     // Cold-tier probe (DESIGN.md §12), with no locks held: a match is
@@ -359,23 +269,18 @@ PotluckService::lookup(const std::string &app, const std::string &function,
     // hit is still a local HIT, so it lands before the miss counters
     // and before the cluster's miss handler gets a say.
     if (ColdTier *tier = cold_tier_.load(std::memory_order_acquire)) {
-        double cold_threshold = 0.0;
-        {
-            std::shared_lock lock(shards_[0]->mutex);
-            if (KeyIndex *s0 = shards_[0]->table.find(function, key_type))
-                cold_threshold = s0->tuner.threshold();
-        }
         ColdPromotion promo;
-        if (tier->promote(function, key_type, key, cold_threshold, promo)) {
+        if (tier->promote(function, key_type, key, slot->tuner.threshold(),
+                          promo)) {
             promo.entry.access_frequency.fetch_add(
                 1, std::memory_order_relaxed);
             Value value = promo.entry.value;
             double promoted_overhead_us = promo.entry.compute_overhead_us;
-            EntryId id = insertPromoted(std::move(promo.entry), now);
+            EntryId id = insertPromoted(*domain, std::move(promo.entry), now);
             obs_.hits->inc();
-            slot0->stats.hits.fetch_add(1, std::memory_order_relaxed);
-            slot0->fn_hits->inc();
-            accountSavings(slot0, app, promoted_overhead_us);
+            slot->stats.hits.fetch_add(1, std::memory_order_relaxed);
+            slot->fn_hits->inc();
+            accountSavings(*slot, app, promoted_overhead_us);
             feedHeat(function, key_type, obs::HeatKind::Hit, now);
             LookupResult result;
             result.hit = true;
@@ -387,8 +292,8 @@ PotluckService::lookup(const std::string &app, const std::string &function,
     }
 
     obs_.misses->inc();
-    slot0->stats.misses.fetch_add(1, std::memory_order_relaxed);
-    slot0->fn_misses->inc();
+    slot->stats.misses.fetch_add(1, std::memory_order_relaxed);
+    slot->fn_misses->inc();
     feedHeat(function, key_type, obs::HeatKind::Miss, now);
     MissHandler handler;
     {
@@ -396,8 +301,6 @@ PotluckService::lookup(const std::string &app, const std::string &function,
         pending_miss_us_[{app, function}] = now;
         handler = miss_handler_;
     }
-    LookupResult result;
-    result.nn_dist = nearest;
     // Offer the miss to the handler with no locks held: it may
     // re-enter this service (to seed a remotely fetched value) or call
     // out to a peer. The local miss counters above stay bumped either
@@ -406,11 +309,12 @@ PotluckService::lookup(const std::string &app, const std::string &function,
         LookupResult remote;
         MissContext ctx{app, function, key_type, key};
         if (handler(ctx, remote)) {
-            remote.nn_dist = remote.nn_dist < 0.0 ? nearest : remote.nn_dist;
+            if (remote.nn_dist < 0.0)
+                remote.nn_dist = probe.result.nn_dist;
             return remote;
         }
     }
-    return result;
+    return std::move(probe.result);
 }
 
 std::vector<LookupResult>
@@ -427,10 +331,10 @@ PotluckService::lookupBatch(const std::string &app,
     const uint64_t n = keys.size();
     obs_.lookups->inc(n);
 
-    KeyIndex *slot0 = canonicalSlot(function, key_type, "lookup");
-    POTLUCK_SPAN_ATTACH(batch_span, slot0->fn_lookup_ns);
-    slot0->stats.lookups.fetch_add(n, std::memory_order_relaxed);
-    slot0->fn_lookups->inc(n);
+    auto [domain, slot] = resolve(function, key_type, "lookup");
+    POTLUCK_SPAN_ATTACH(batch_span, slot->fn_lookup_ns);
+    slot->stats.lookups.fetch_add(n, std::memory_order_relaxed);
+    slot->fn_lookups->inc(n);
 
     uint64_t now = clock_->nowUs();
 
@@ -458,96 +362,40 @@ PotluckService::lookupBatch(const std::string &app,
             return results;
     }
 
-    // Probe every key against each shard under a single shared-lock
-    // acquisition and slot resolution per shard.
-    std::vector<std::vector<ProbeOutcome>> outcomes(shards_.size());
-    auto probeShard = [&](size_t si) {
-        std::vector<ProbeOutcome> &out = outcomes[si];
-        out.resize(keys.size());
-        Shard &shard = *shards_[si];
-        std::shared_lock lock(shard.mutex);
-        KeyIndex *slot = shard.table.find(function, key_type);
-        if (!slot)
-            return; // registration still replicating to this shard
-        // One index-probe span for the whole shard pass; per-key spans
-        // would cost two clock reads per key.
-        POTLUCK_TRACE_SPAN("lookup.index_probe", obs_.lookup_probe_ns);
-        for (size_t i = 0; i < keys.size(); ++i) {
-            if (!dropped[i])
-                out[i] = probeSlotLocked(shard, slot, keys[i], now,
-                                         /*traced=*/false);
-        }
-    };
-    if (shards_.size() == 1) {
-        probeShard(0);
-    } else {
-        POTLUCK_TRACE_SPAN("service.shard_fanout", obs_.fanout_ns);
-        if (fanout_pool_) {
-            std::vector<std::future<void>> futures;
-            futures.reserve(shards_.size() - 1);
-            for (size_t i = 1; i < shards_.size(); ++i)
-                futures.push_back(
-                    fanout_pool_->submit([&probeShard, i] { probeShard(i); }));
-            probeShard(0);
-            for (auto &f : futures)
-                f.get();
-        } else {
-            for (size_t i = 0; i < shards_.size(); ++i)
-                probeShard(i);
-        }
-    }
-
-    // Merge per key; hits complete here, misses queue for the
-    // cold-tier / miss-handler passes below. Savings and heat are
-    // tallied across the batch and accounted once — accountSavings is
-    // additive in overhead_us (the carry logic tracks the exact sum),
-    // and one weighted feedHeat takes the stripe lock once instead of
-    // once per hit.
+    // Probe every key under one shared-lock acquisition. Hits complete
+    // here, misses queue for the cold-tier / miss-handler passes below.
+    // Savings and heat are tallied across the batch and accounted once
+    // — accountSavings is additive in overhead_us (the carry logic
+    // tracks the exact sum), and one weighted feedHeat takes the
+    // stripe lock once instead of once per hit.
     uint64_t n_hits = 0;
     double hit_overhead_us = 0.0;
     std::vector<size_t> miss_indices;
-    for (size_t i = 0; i < keys.size(); ++i) {
-        if (dropped[i])
-            continue;
-        int best = -1;
-        double nearest = -1.0;
-        for (size_t s = 0; s < outcomes.size(); ++s) {
-            const ProbeOutcome &o = outcomes[s][i];
-            if (o.nearest_dist >= 0.0 &&
-                (nearest < 0.0 || o.nearest_dist < nearest)) {
-                nearest = o.nearest_dist;
+    {
+        std::shared_lock lock(domain->mutex);
+        // One index-probe span for the whole pass; per-key spans would
+        // cost two clock reads per key.
+        POTLUCK_TRACE_SPAN("lookup.index_probe", obs_.lookup_probe_ns);
+        for (size_t i = 0; i < keys.size(); ++i) {
+            if (dropped[i])
+                continue;
+            Probe probe =
+                probeLocked(*domain, *slot, keys[i], now, /*traced=*/false);
+            if (probe.result.hit) {
+                ++n_hits;
+                if (probe.overhead_us > 0.0)
+                    hit_overhead_us += probe.overhead_us;
+            } else {
+                miss_indices.push_back(i);
             }
-            if (o.hit.valid &&
-                (best < 0 ||
-                 o.hit.dist < outcomes[static_cast<size_t>(best)][i].hit.dist)) {
-                best = static_cast<int>(s);
-            }
-        }
-        if (best >= 0) {
-            ++n_hits;
-            ProbeOutcome &won = outcomes[static_cast<size_t>(best)][i];
-            if (won.hit.overhead_us > 0.0)
-                hit_overhead_us += won.hit.overhead_us;
-            results[i].hit = true;
-            results[i].value = std::move(won.hit.value);
-            results[i].id = won.hit.id;
-            results[i].nn_dist = won.hit.dist;
-        } else {
-            results[i].nn_dist = nearest;
-            miss_indices.push_back(i);
+            results[i] = std::move(probe.result);
         }
     }
 
-    // Cold-tier probe per missed key (DESIGN.md §12), threshold
-    // resolved once for the batch.
+    // Cold-tier probe per missed key (DESIGN.md §12).
     if (!miss_indices.empty()) {
         if (ColdTier *tier = cold_tier_.load(std::memory_order_acquire)) {
-            double cold_threshold = 0.0;
-            {
-                std::shared_lock lock(shards_[0]->mutex);
-                if (KeyIndex *s0 = shards_[0]->table.find(function, key_type))
-                    cold_threshold = s0->tuner.threshold();
-            }
+            double cold_threshold = slot->tuner.threshold();
             std::vector<size_t> still_missing;
             still_missing.reserve(miss_indices.size());
             for (size_t i : miss_indices) {
@@ -561,7 +409,8 @@ PotluckService::lookupBatch(const std::string &app,
                     1, std::memory_order_relaxed);
                 Value value = promo.entry.value;
                 double promoted_overhead_us = promo.entry.compute_overhead_us;
-                EntryId id = insertPromoted(std::move(promo.entry), now);
+                EntryId id =
+                    insertPromoted(*domain, std::move(promo.entry), now);
                 ++n_hits;
                 if (promoted_overhead_us > 0.0)
                     hit_overhead_us += promoted_overhead_us;
@@ -576,17 +425,17 @@ PotluckService::lookupBatch(const std::string &app,
 
     if (n_hits > 0) {
         obs_.hits->inc(n_hits);
-        slot0->stats.hits.fetch_add(n_hits, std::memory_order_relaxed);
-        slot0->fn_hits->inc(n_hits);
-        accountSavings(slot0, app, hit_overhead_us);
+        slot->stats.hits.fetch_add(n_hits, std::memory_order_relaxed);
+        slot->fn_hits->inc(n_hits);
+        accountSavings(*slot, app, hit_overhead_us);
         feedHeat(function, key_type, obs::HeatKind::Hit, now, n_hits);
     }
 
     if (!miss_indices.empty()) {
         uint64_t n_misses = miss_indices.size();
         obs_.misses->inc(n_misses);
-        slot0->stats.misses.fetch_add(n_misses, std::memory_order_relaxed);
-        slot0->fn_misses->inc(n_misses);
+        slot->stats.misses.fetch_add(n_misses, std::memory_order_relaxed);
+        slot->fn_misses->inc(n_misses);
         feedHeat(function, key_type, obs::HeatKind::Miss, now, n_misses);
         MissHandler handler;
         {
@@ -610,29 +459,6 @@ PotluckService::lookupBatch(const std::string &app,
     return results;
 }
 
-PotluckService::PutProbe
-PotluckService::probePutShard(Shard &shard, const std::string &function,
-                              const std::string &key_type,
-                              const FeatureVector &key)
-{
-    PutProbe out;
-    std::shared_lock lock(shard.mutex);
-    KeyIndex *slot = shard.table.find(function, key_type);
-    if (!slot)
-        return out;
-    auto neighbors = slot->index->nearest(key, 1);
-    if (neighbors.empty())
-        return out;
-    const CacheEntry *nn = shard.storage.find(neighbors.front().id);
-    if (!nn)
-        return out;
-    out.valid = true;
-    out.dist = neighbors.front().dist;
-    out.value = nn->value;
-    out.app = nn->app;
-    return out;
-}
-
 EntryId
 PotluckService::put(const std::string &function, const std::string &key_type,
                     const FeatureVector &key, Value value,
@@ -643,7 +469,7 @@ PotluckService::put(const std::string &function, const std::string &key_type,
                              function.c_str());
     obs_.puts->inc();
 
-    KeyIndex *slot0 = canonicalSlot(function, key_type, "put");
+    auto [domain, slot] = resolve(function, key_type, "put");
 
     if (config_.enable_reputation) {
         std::lock_guard<std::mutex> meta(meta_mutex_);
@@ -653,7 +479,7 @@ PotluckService::put(const std::string &function, const std::string &key_type,
             return 0;
         }
     }
-    slot0->stats.puts.fetch_add(1, std::memory_order_relaxed);
+    slot->stats.puts.fetch_add(1, std::memory_order_relaxed);
 
     uint64_t now = clock_->nowUs();
     feedHeat(function, key_type, obs::HeatKind::Put, now);
@@ -672,37 +498,57 @@ PotluckService::put(const std::string &function, const std::string &key_type,
         }
     }
 
-    Shard &home = *shards_[shardOf(function, key)];
-
-    // Threshold tuning (Algorithm 1): observe the nearest existing
-    // neighbour of the new key before inserting it. The probe spans
-    // ALL shards — the observation is the paper's global NN distance —
-    // but the observation is recorded into the HOME shard's tuner
-    // (each shard's tuner sees 1/N of the same distance distribution
-    // and converges on the same value; DESIGN.md §10). Skipped during
-    // warm-up — the algorithm only "kicks into action" after z
-    // entries (Section 3.5), and skipping the kNN probe keeps bulk
-    // preloading cheap.
-    bool tuner_active;
+    // Shared section. Threshold tuning (Algorithm 1) observes the
+    // nearest existing neighbour of the new key before inserting it;
+    // the probe is skipped during warm-up — the algorithm only "kicks
+    // into action" after z entries (Section 3.5), and skipping it
+    // keeps bulk preloading cheap. The same section reads which of the
+    // function's other key types the entry can carry (Section 3.7).
+    std::map<std::string, FeatureVector> keys;
+    keys[key_type] = key;
+    std::vector<std::pair<std::string, std::shared_ptr<FeatureExtractor>>>
+        extract;
+    bool nn_valid = false;
+    double nn_dist = 0.0;
+    Value nn_value;
+    std::string nn_app;
     {
-        std::shared_lock lock(home.mutex);
-        KeyIndex *hs = home.table.find(function, key_type);
-        tuner_active = hs && hs->tuner.active();
-    }
-    PutProbe nn;
-    if (tuner_active) {
-        POTLUCK_TRACE_SPAN("put.tuner_probe", obs_.put_probe_ns);
-        for (auto &shard : shards_) {
-            PutProbe p = probePutShard(*shard, function, key_type, key);
-            if (p.valid && (!nn.valid || p.dist < nn.dist))
-                nn = std::move(p);
+        std::shared_lock lock(domain->mutex);
+        if (slot->tuner.active()) {
+            POTLUCK_TRACE_SPAN("put.tuner_probe", obs_.put_probe_ns);
+            auto neighbors = slot->index->nearest(key, 1);
+            const CacheEntry *nn = neighbors.empty()
+                                       ? nullptr
+                                       : domain->storage.find(
+                                             neighbors.front().id);
+            if (nn) {
+                nn_valid = true;
+                nn_dist = neighbors.front().dist;
+                nn_value = nn->value;
+                nn_app = nn->app;
+            }
+        }
+        for (const auto &[type_name, extra_key] : options.extra_keys) {
+            if (type_name != key_type && domain->find(type_name))
+                keys[type_name] = extra_key;
+        }
+        if (options.raw_input) {
+            for (const auto &[type_name, other] : domain->slots) {
+                if (other->extractor && !keys.count(type_name))
+                    extract.emplace_back(type_name, other->extractor);
+            }
         }
     }
+    // Key extraction runs with no lock held: a SIFT pass must not stall
+    // the function's lookups.
+    for (const auto &[type_name, extractor] : extract)
+        keys[type_name] = extractor->extract(*options.raw_input);
+
     bool values_equal = false;
-    if (nn.valid) {
-        values_equal = slot0->config.value_equals
-                           ? slot0->config.value_equals(nn.value, value)
-                           : valueEquals(nn.value, value);
+    if (nn_valid) {
+        values_equal = slot->config.value_equals
+                           ? slot->config.value_equals(nn_value, value)
+                           : valueEquals(nn_value, value);
     }
 
     // Assemble the entry with a key for every registered type of this
@@ -710,7 +556,7 @@ PotluckService::put(const std::string &function, const std::string &key_type,
     CacheEntry entry;
     entry.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     entry.function = function;
-    entry.keys[key_type] = key;
+    entry.keys = std::move(keys);
     entry.value = std::move(value);
     entry.app = options.app;
     entry.compute_overhead_us = overhead_us;
@@ -723,105 +569,58 @@ PotluckService::put(const std::string &function, const std::string &key_type,
         entry.access_frequency = std::max<uint64_t>(1,
                                                     *options.access_frequency);
 
+    const EntryId stored_id = entry.id;
+    const size_t stored_bytes = entry.sizeBytes();
+    Value stored_value = entry.value; // a shared_ptr: cheap copy
     ColdTier *tier = cold_tier_.load(std::memory_order_acquire);
-    EntryId stored_id = 0;
-    Value stored_value;
     CacheEntry write_through; ///< copy for the cold tier (id != 0 = valid)
-    {
-        std::unique_lock lock(home.mutex);
-        KeyIndex *slot = home.table.find(function, key_type);
-        POTLUCK_ASSERT(slot, "home shard missing registration for '"
-                                 << function << "/" << key_type << "'");
+    if (tier)
+        write_through = entry;
 
-        if (nn.valid) {
-            double before = slot->tuner.threshold();
-            slot->tuner.observe(nn.dist, values_equal);
-            double after = slot->tuner.threshold();
-            if (after < before) {
-                obs_.tighten_events->inc();
-                if (recorder_) {
-                    obs::recordDecision(recorder_.get(),
-                                        obs::DecisionKind::ThresholdTighten,
-                                        "tuner.tighten",
-                                        function + "/" + key_type, before,
-                                        after, nn.dist, 0);
-                }
-            } else if (after > before) {
-                obs_.loosen_events->inc();
-                if (recorder_) {
-                    obs::recordDecision(recorder_.get(),
-                                        obs::DecisionKind::ThresholdLoosen,
-                                        "tuner.loosen",
-                                        function + "/" + key_type, before,
-                                        after, nn.dist, 0);
-                }
-            }
+    double before = 0.0, after = 0.0;
+    {
+        std::unique_lock lock(domain->mutex);
+        if (nn_valid) {
+            before = slot->tuner.threshold();
+            slot->tuner.observe(nn_dist, values_equal);
+            after = slot->tuner.threshold();
 
             // Each observation is a vote on the neighbour's source app
             // (Section 3.5's reputation extension): an in-threshold
             // disagreement suggests a polluted entry; any confirmed
             // equivalence vouches for the source.
-            if (config_.enable_reputation && nn.app != options.app) {
+            if (config_.enable_reputation && nn_app != options.app) {
                 std::lock_guard<std::mutex> meta(meta_mutex_);
                 if (values_equal)
-                    reputation_.recordPositive(nn.app);
-                else if (nn.dist <= before)
-                    reputation_.recordNegative(nn.app);
+                    reputation_.recordPositive(nn_app);
+                else if (nn_dist <= before)
+                    reputation_.recordNegative(nn_app);
             }
         }
-
-        for (const auto &[type_name, extra_key] : options.extra_keys) {
-            if (type_name != key_type && home.table.find(function, type_name))
-                entry.keys[type_name] = extra_key;
-        }
-        if (options.raw_input) {
-            for (KeyIndex *other : home.table.slotsFor(function)) {
-                if (other->config.name == key_type ||
-                    entry.keys.count(other->config.name)) {
-                    continue;
-                }
-                std::shared_ptr<FeatureExtractor> extractor;
-                {
-                    std::lock_guard<std::mutex> meta(meta_mutex_);
-                    auto eit =
-                        extractors_.find({function, other->config.name});
-                    if (eit != extractors_.end())
-                        extractor = eit->second;
-                }
-                if (extractor) {
-                    entry.keys[other->config.name] =
-                        extractor->extract(*options.raw_input);
-                }
-            }
-        }
-
         // Index the entry under every key it carries, running each
         // index's own tuner warm-up accounting.
-        CacheEntry &stored = home.storage.add(std::move(entry));
+        domain->insert(std::move(entry));
         entries_total_.fetch_add(1, std::memory_order_relaxed);
-        bytes_total_.fetch_add(stored.sizeBytes(), std::memory_order_relaxed);
-        for (KeyIndex *target : home.table.slotsFor(function)) {
-            auto kit = stored.keys.find(target->config.name);
-            if (kit == stored.keys.end())
-                continue;
-            target->index->insert(stored.id, kit->second);
-            target->tuner.noteInsert();
+        bytes_total_.fetch_add(stored_bytes, std::memory_order_relaxed);
+    }
+    if (after != before) {
+        bool tightened = after < before;
+        (tightened ? obs_.tighten_events : obs_.loosen_events)->inc();
+        if (recorder_) {
+            obs::recordDecision(
+                recorder_.get(),
+                tightened ? obs::DecisionKind::ThresholdTighten
+                          : obs::DecisionKind::ThresholdLoosen,
+                tightened ? "tuner.tighten" : "tuner.loosen",
+                function + "/" + key_type, before, after, nn_dist, 0);
         }
-
-        // Capture the id and value before capacity enforcement may
-        // evict the entry (and invalidate the reference).
-        stored_id = stored.id;
-        stored_value = stored.value;
-        if (tier)
-            write_through = stored; // value is a shared_ptr: cheap copy
-        updateShardGauges(home);
     }
 
     // Durable write-through (DESIGN.md §12), outside every lock and
     // BEFORE capacity enforcement, so even an entry evicted by its own
     // put survives a crash. The segment log doubles as a WAL: a
     // SIGKILL'd daemon restarts warm from it, snapshot or no snapshot.
-    if (tier && write_through.id != 0)
+    if (tier)
         tier->admit(write_through);
 
     enforceCapacity();
@@ -885,25 +684,21 @@ PotluckService::bannedApps() const
 }
 
 CacheEntry
-PotluckService::removeEntryInShard(Shard &shard, EntryId id, bool expired)
+PotluckService::removeLocked(FunctionDomain &domain, EntryId id, bool expired)
 {
-    CacheEntry *entry = shard.storage.find(id);
-    if (!entry)
-        return {};
-    size_t bytes = entry->sizeBytes();
-    shard.table.removeEntry(*entry);
     // Unindexing and destruction are separate steps: the entry is
     // moved OUT of storage so the caller can hand its keys and value
     // to the cold tier (or to the eviction log) without re-cloning
     // them, then let it drop when no tier wants it.
-    CacheEntry removed = shard.storage.remove(id);
+    CacheEntry removed = domain.remove(id);
+    if (removed.id == 0)
+        return removed;
     entries_total_.fetch_sub(1, std::memory_order_relaxed);
-    bytes_total_.fetch_sub(bytes, std::memory_order_relaxed);
+    bytes_total_.fetch_sub(removed.sizeBytes(), std::memory_order_relaxed);
     if (expired)
         obs_.expirations->inc();
     else
         obs_.evictions->inc();
-    updateShardGauges(shard);
     return removed;
 }
 
@@ -921,33 +716,20 @@ PotluckService::scrubColdTier()
 }
 
 EntryId
-PotluckService::insertPromoted(CacheEntry entry, uint64_t now)
+PotluckService::insertPromoted(FunctionDomain &domain, CacheEntry entry,
+                               uint64_t now)
 {
     POTLUCK_ASSERT(!entry.keys.empty(), "promoted entry without keys");
     entry.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     entry.inserted_us = now;
     entry.last_access_us.store(now, std::memory_order_relaxed);
-    // Home placement keys off the entry's first key type (map order is
-    // deterministic); it need not match the pre-demotion placement —
-    // lookups probe every shard anyway.
-    Shard &home =
-        *shards_[shardOf(entry.function, entry.keys.begin()->second)];
-    EntryId stored_id = 0;
+    const EntryId stored_id = entry.id;
+    const size_t bytes = entry.sizeBytes();
     {
-        std::unique_lock lock(home.mutex);
-        CacheEntry &stored = home.storage.add(std::move(entry));
+        std::unique_lock lock(domain.mutex);
+        domain.insert(std::move(entry));
         entries_total_.fetch_add(1, std::memory_order_relaxed);
-        bytes_total_.fetch_add(stored.sizeBytes(),
-                               std::memory_order_relaxed);
-        for (KeyIndex *target : home.table.slotsFor(stored.function)) {
-            auto kit = stored.keys.find(target->config.name);
-            if (kit == stored.keys.end())
-                continue;
-            target->index->insert(stored.id, kit->second);
-            target->tuner.noteInsert();
-        }
-        stored_id = stored.id;
-        updateShardGauges(home);
+        bytes_total_.fetch_add(bytes, std::memory_order_relaxed);
     }
     enforceCapacity();
     updateGlobalGauges();
@@ -961,15 +743,6 @@ PotluckService::updateGlobalGauges()
         static_cast<int64_t>(entries_total_.load(std::memory_order_relaxed)));
     obs_.bytes->set(
         static_cast<int64_t>(bytes_total_.load(std::memory_order_relaxed)));
-}
-
-void
-PotluckService::updateShardGauges(Shard &shard)
-{
-    if (!shard.entries_gauge)
-        return;
-    shard.entries_gauge->set(static_cast<int64_t>(shard.storage.numEntries()));
-    shard.bytes_gauge->set(static_cast<int64_t>(shard.storage.totalBytes()));
 }
 
 void
@@ -1006,7 +779,7 @@ carryWholeMs(std::atomic<uint64_t> &carry_us, uint64_t us)
 } // namespace
 
 void
-PotluckService::accountSavings(KeyIndex *slot0, const std::string &app,
+PotluckService::accountSavings(KeyIndex &slot, const std::string &app,
                                double overhead_us)
 {
     if (overhead_us <= 0.0)
@@ -1021,8 +794,8 @@ PotluckService::accountSavings(KeyIndex *slot0, const std::string &app,
     if (uint64_t delta_ms = carryWholeMs(saved_us_total_, us))
         obs_.saved_ms->inc(delta_ms);
 
-    if (uint64_t fn_ms = carryWholeMs(slot0->saved_us_carry, us))
-        slot0->fn_saved_ms->inc(fn_ms);
+    if (uint64_t fn_ms = carryWholeMs(slot.saved_us_carry, us))
+        slot.fn_saved_ms->inc(fn_ms);
 
     // Per-app: shared-lock probe of the pointer cache; only an app's
     // FIRST saved hit takes the exclusive lock + registry probe.
@@ -1128,23 +901,70 @@ PotluckService::enforceCapacity()
     if (!over())
         return;
     // Serialize global eviction: concurrent puts would otherwise both
-    // scan all shards and overshoot. No shard lock is held here; shard
-    // locks are taken one at a time below.
+    // scan all domains and overshoot. No domain lock is held here;
+    // domain locks are taken one at a time below.
     std::lock_guard<std::mutex> cap(capacity_mutex_);
     if (!over())
         return;
     POTLUCK_TRACE_SPAN("put.evict", obs_.evict_ns);
     ColdTier *tier = cold_tier_.load(std::memory_order_acquire);
     uint64_t now = tier ? clock_->nowUs() : 0;
+    const std::vector<FunctionDomain *> all = domains();
 
-    // Finish one eviction: log the decision, then hand the moved-out
-    // victim to the cold tier (demotion instead of drop, DESIGN.md
-    // §12). Runs with NO shard lock held — only capacity_mutex_, which
-    // the store never takes.
-    auto finish = [&](CacheEntry &&victim) {
+    while (over()) {
+        size_t total = entries_total_.load(std::memory_order_relaxed);
+        if (total == 0)
+            break;
+        // Each non-empty domain nominates the policy's candidate under
+        // its SHARED lock; the lowest score loses, ties to the lowest
+        // id — the entry the policy would pick from all entries at
+        // once. A positional policy (Random) instead draws once over
+        // the total and the draw walks the domains in order.
+        std::optional<size_t> position = eviction_->victimPosition(total);
+        FunctionDomain *loser = nullptr;
+        EntryId victim_id = 0;
+        double lowest = 0.0;
+        for (FunctionDomain *domain : all) {
+            std::shared_lock lock(domain->mutex);
+            const auto &entries = domain->storage.entries();
+            if (entries.empty())
+                continue;
+            if (position) {
+                if (*position >= entries.size()) {
+                    *position -= entries.size();
+                    continue;
+                }
+                loser = domain;
+                victim_id = std::next(entries.begin(),
+                                      static_cast<std::ptrdiff_t>(*position))
+                                ->first;
+                break;
+            }
+            EntryId id = eviction_->selectVictim(entries);
+            double score = eviction_->victimScore(entries.at(id));
+            if (!loser || score < lowest ||
+                (score == lowest && id < victim_id)) {
+                loser = domain;
+                victim_id = id;
+                lowest = score;
+            }
+        }
+        if (!loser)
+            continue; // the total moved under the draw: draw again
+        CacheEntry victim;
+        {
+            std::unique_lock lock(loser->mutex);
+            victim = removeLocked(*loser, victim_id, /*expired=*/false);
+        }
+        if (victim.id == 0)
+            continue; // raced away between the scan and the removal
+        // Log the decision, then hand the moved-out victim to the cold
+        // tier (demotion instead of drop, DESIGN.md §12) with no
+        // domain lock held — only capacity_mutex_, which the store
+        // never takes.
         recordEviction(victim);
         if (!tier)
-            return;
+            continue;
         if (demotion_policy_.shouldDemote(victim, now))
             tier->demote(std::move(victim));
         else
@@ -1152,107 +972,6 @@ PotluckService::enforceCapacity()
             // floor) is gone from both tiers: drop its write-through
             // record too, or the log accumulates dead entries.
             tier->forget(victim);
-    };
-
-    while (over()) {
-        if (shards_.size() == 1) {
-            // Degenerate case: identical to the pre-shard behaviour
-            // (including the Random policy's RNG sequence).
-            Shard &shard = *shards_[0];
-            CacheEntry victim;
-            {
-                std::unique_lock lock(shard.mutex);
-                if (shard.storage.numEntries() == 0)
-                    break;
-                EntryId id =
-                    eviction_->selectVictim(shard.storage.entries());
-                victim = removeEntryInShard(shard, id, /*expired=*/false);
-            }
-            if (victim.id != 0)
-                finish(std::move(victim));
-            continue;
-        }
-
-        if (eviction_->kind() == EvictionKind::Random) {
-            // Uniform over all entries: pick the shard weighted by its
-            // entry count, then let the policy draw within it.
-            size_t total = entries_total_.load(std::memory_order_relaxed);
-            if (total == 0)
-                break;
-            size_t r;
-            {
-                std::lock_guard<std::mutex> meta(meta_mutex_);
-                r = static_cast<size_t>(rng_.uniformInt(
-                    0, static_cast<int64_t>(total) - 1));
-            }
-            CacheEntry victim;
-            for (auto &shard : shards_) {
-                std::unique_lock lock(shard->mutex);
-                size_t n = shard->storage.numEntries();
-                if (r < n) {
-                    EntryId id =
-                        eviction_->selectVictim(shard->storage.entries());
-                    victim =
-                        removeEntryInShard(*shard, id, /*expired=*/false);
-                    break;
-                }
-                r -= n;
-            }
-            if (victim.id == 0) {
-                // Counts moved under us; evict from any non-empty shard.
-                for (auto &shard : shards_) {
-                    std::unique_lock lock(shard->mutex);
-                    if (shard->storage.numEntries() == 0)
-                        continue;
-                    EntryId id =
-                        eviction_->selectVictim(shard->storage.entries());
-                    victim =
-                        removeEntryInShard(*shard, id, /*expired=*/false);
-                    break;
-                }
-            }
-            if (victim.id == 0)
-                break;
-            finish(std::move(victim));
-            continue;
-        }
-
-        // Scored policies (importance, LRU): each shard nominates its
-        // own victim under a SHARED lock; the global victim is the one
-        // with the lowest policy score.
-        int best_shard = -1;
-        EntryId best_victim = 0;
-        double best_score = 0.0;
-        for (size_t i = 0; i < shards_.size(); ++i) {
-            Shard &shard = *shards_[i];
-            std::shared_lock lock(shard.mutex);
-            if (shard.storage.numEntries() == 0)
-                continue;
-            EntryId candidate =
-                eviction_->selectVictim(shard.storage.entries());
-            const CacheEntry *e = shard.storage.find(candidate);
-            if (!e)
-                continue;
-            double score = eviction_->victimScore(*e);
-            if (best_shard < 0 || score < best_score) {
-                best_shard = static_cast<int>(i);
-                best_victim = candidate;
-                best_score = score;
-            }
-        }
-        if (best_shard < 0)
-            break;
-        Shard &shard = *shards_[best_shard];
-        CacheEntry victim;
-        {
-            std::unique_lock lock(shard.mutex);
-            if (!shard.storage.find(best_victim))
-                continue; // raced away between the scan and the removal
-            victim =
-                removeEntryInShard(shard, best_victim, /*expired=*/false);
-        }
-        if (victim.id != 0)
-            finish(std::move(victim));
     }
 }
 
@@ -1264,14 +983,14 @@ PotluckService::sweepExpired()
     ColdTier *tier = cold_tier_.load(std::memory_order_acquire);
     size_t total = 0;
     // Swept entries are collected (moved, not copied) and their
-    // durable records dropped only after every shard lock is released:
+    // durable records dropped only after every domain lock is released:
     // an expired entry must not resurrect on the next warm restart.
     std::vector<CacheEntry> forgotten;
-    for (auto &shard : shards_) {
-        std::unique_lock lock(shard->mutex);
-        auto expired = shard->storage.expiredAt(now);
+    for (FunctionDomain *domain : domains()) {
+        std::unique_lock lock(domain->mutex);
+        auto expired = domain->storage.expiredAt(now);
         for (EntryId id : expired) {
-            CacheEntry gone = removeEntryInShard(*shard, id, /*expired=*/true);
+            CacheEntry gone = removeLocked(*domain, id, /*expired=*/true);
             if (tier && gone.id != 0)
                 forgotten.push_back(std::move(gone));
         }
@@ -1295,9 +1014,9 @@ void
 PotluckService::forEachEntry(
     const std::function<void(const CacheEntry &)> &fn) const
 {
-    for (const auto &shard : shards_) {
-        std::shared_lock lock(shard->mutex);
-        for (const auto &[id, entry] : shard->storage.entries())
+    for (FunctionDomain *domain : domains()) {
+        std::shared_lock lock(domain->mutex);
+        for (const auto &[id, entry] : domain->storage.entries())
             fn(entry);
     }
 }
@@ -1307,13 +1026,11 @@ PotluckService::forEachKeyType(
     const std::function<void(const std::string &, const KeyTypeConfig &)>
         &fn) const
 {
-    // Registrations are replicated; shard 0 is the canonical copy.
-    const Shard &s0 = *shards_[0];
-    std::shared_lock lock(s0.mutex);
-    const_cast<FunctionTable &>(s0.table).forEachSlot(
-        [&fn](const std::string &function, KeyIndex &slot) {
-            fn(function, slot.config);
-        });
+    // Slot maps change only under the table lock held exclusively.
+    std::shared_lock lock(table_mutex_);
+    for (const FunctionDomain *domain : table_.domains())
+        for (const auto &[name, slot] : domain->slots)
+            fn(domain->function, slot->config);
 }
 
 ServiceStats
@@ -1349,11 +1066,7 @@ SlotStats
 PotluckService::slotStats(const std::string &function,
                           const std::string &key_type) const
 {
-    // The canonical per-slot counters live in shard 0's slot (every
-    // shard's traffic feeds them; they are atomic).
-    const Shard &s0 = *shards_[0];
-    std::shared_lock lock(s0.mutex);
-    const KeyIndex *slot = s0.table.find(function, key_type);
+    const KeyIndex *slot = findSlot(function, key_type).slot;
     return slot ? slot->stats : SlotStats{};
 }
 
@@ -1361,34 +1074,19 @@ double
 PotluckService::threshold(const std::string &function,
                           const std::string &key_type) const
 {
-    double sum = 0.0;
-    size_t found = 0;
-    for (const auto &shard : shards_) {
-        std::shared_lock lock(shard->mutex);
-        const KeyIndex *slot = shard->table.find(function, key_type);
-        if (slot) {
-            sum += slot->tuner.threshold();
-            ++found;
-        }
-    }
-    POTLUCK_ASSERT(found > 0, "threshold of unregistered slot");
-    return sum / static_cast<double>(found);
+    const KeyIndex *slot = findSlot(function, key_type).slot;
+    POTLUCK_ASSERT(slot, "threshold of unregistered slot");
+    return slot->tuner.threshold();
 }
 
 void
 PotluckService::setThreshold(const std::string &function,
                              const std::string &key_type, double value)
 {
-    size_t found = 0;
-    for (auto &shard : shards_) {
-        std::unique_lock lock(shard->mutex);
-        KeyIndex *slot = shard->table.find(function, key_type);
-        if (slot) {
-            slot->tuner.setThreshold(value);
-            ++found;
-        }
-    }
-    POTLUCK_ASSERT(found > 0, "setThreshold of unregistered slot");
+    auto [domain, slot] = findSlot(function, key_type);
+    POTLUCK_ASSERT(slot, "setThreshold of unregistered slot");
+    std::unique_lock lock(domain->mutex); // serialize with tuner.observe
+    slot->tuner.setThreshold(value);
 }
 
 size_t
@@ -1407,9 +1105,9 @@ uint64_t
 PotluckService::nextExpiryUs() const
 {
     uint64_t next = 0;
-    for (const auto &shard : shards_) {
-        std::shared_lock lock(shard->mutex);
-        uint64_t e = shard->storage.nextExpiryUs();
+    for (FunctionDomain *domain : domains()) {
+        std::shared_lock lock(domain->mutex);
+        uint64_t e = domain->storage.nextExpiryUs();
         if (e != 0 && (next == 0 || e < next))
             next = e;
     }

@@ -15,16 +15,14 @@
  *     tuner, and (c) indexes the entry under every key type of the
  *     function (Section 3.7).
  *
- * Concurrency model (see DESIGN.md §10): the service is split into
- * config.num_shards independent shards, each owning a slice of the
- * entries (placed by hash of function + key bytes) with its own
- * reader/writer lock, index set, and threshold-tuner observation
- * stream. Queries probe every shard under SHARED locks and merge the
- * per-shard nearest neighbours, so lookups from different connections
- * run fully in parallel; puts take only their home shard's exclusive
- * lock. Lock hierarchy: at most one shard lock is held at a time;
- * meta_mutex_ is a leaf that may be taken under a shard lock; the
- * capacity mutex is taken with no shard lock held.
+ * Concurrency model (see DESIGN.md §10): each registered function is
+ * one lock domain — a reader/writer lock over that function's key-type
+ * slots (index + tuner) and its entries. A lookup or put resolves its
+ * (function, key type) slot once and probes exactly one index under
+ * one lock: lookups take it SHARED, so they run in parallel; a put
+ * holds it EXCLUSIVE only to tune and insert. Lock order: the capacity
+ * mutex, then domain locks (one at a time), then meta_mutex_ as a
+ * leaf; the table lock is only ever held briefly, above domain locks.
  */
 #ifndef POTLUCK_CORE_POTLUCK_SERVICE_H
 #define POTLUCK_CORE_POTLUCK_SERVICE_H
@@ -52,7 +50,6 @@
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace potluck {
 
@@ -143,12 +140,12 @@ class PotluckService
      * Batched lookup: one result per key, same semantics per element
      * as lookup() — dropout, cold-tier promotion and the miss handler
      * all apply per key. The batch amortizes the per-request fixed
-     * costs: the canonical slot is resolved once, the dropout RNG and
+     * costs: the slot is resolved once, the dropout RNG and
      * pending-miss bookkeeping take one meta-mutex acquisition for
-     * the whole batch, and each shard is locked (and its slot looked
-     * up) once for all keys instead of once per key — this is what
-     * makes the kLookupBatch IPC verb's single frame worthwhile at
-     * the service layer too.
+     * the whole batch, and the function's domain is locked once for
+     * all keys instead of once per key — this is what makes the
+     * kLookupBatch IPC verb's single frame worthwhile at the service
+     * layer too.
      */
     std::vector<LookupResult> lookupBatch(const std::string &app,
                                           const std::string &function,
@@ -270,8 +267,8 @@ class PotluckService
     /// @name Introspection.
     /// @{
     /** Visit every live entry under shared locks (do not re-enter).
-     * Shards are visited one at a time, so the view is per-shard
-     * consistent, not a global snapshot. */
+     * Functions are visited one at a time in registration order, so
+     * the view is consistent per function, not a global snapshot. */
     void forEachEntry(
         const std::function<void(const CacheEntry &)> &fn) const;
 
@@ -293,8 +290,7 @@ class PotluckService
     /**
      * The observability registry: service counters/gauges under
      * `service.*` / `cache.*`, per-function counters under
-     * `fn.<function>.*`, per-shard occupancy under `cache.shard.<i>.*`
-     * (only when num_shards > 1), hot-path latency histograms
+     * `fn.<function>.*`, hot-path latency histograms
      * (`lookup.*_ns`, `put.*_ns`) when tracing is enabled. The IPC
      * server adds its `ipc.*` metrics here too. Internally
      * synchronized.
@@ -318,113 +314,66 @@ class PotluckService
      */
     double functionHitRate(const std::string &function) const;
 
-    /**
-     * The (function, key type) similarity threshold. With one shard
-     * this is the exact tuned value; with several it is the mean of
-     * the per-shard tuners (each converges on the same observation
-     * distribution — DESIGN.md §10).
-     */
+    /** The (function, key type) similarity threshold. */
     double threshold(const std::string &function,
                      const std::string &key_type) const;
-    /** Force a threshold (fixed-threshold experiments, Fig. 9);
-     * applied to every shard's tuner. */
+    /** Force a threshold (fixed-threshold experiments, Fig. 9). */
     void setThreshold(const std::string &function,
                       const std::string &key_type, double value);
     size_t numEntries() const;
     size_t totalBytes() const;
     const PotluckConfig &config() const { return config_; }
-    /** Number of shards the service was configured with. */
-    size_t numShards() const { return shards_.size(); }
     /** Current time from the service's clock. */
     uint64_t nowUs() const { return clock_->nowUs(); }
     uint64_t nextExpiryUs() const;
     /// @}
 
   private:
-    /**
-     * One independent slice of the cache: its own lock, its own
-     * (function, key type) indices + tuners, its own entry storage.
-     * Registrations are replicated to every shard; entries live in
-     * exactly one shard, chosen by shardOf().
-     */
-    struct Shard
+    /** A resolved (function, key type): the slot and its domain. */
+    struct SlotRef
     {
-        mutable std::shared_mutex mutex;
-        FunctionTable table;
-        DataStorage storage;
-        /// Per-shard occupancy gauges; null when num_shards == 1.
-        obs::Gauge *entries_gauge = nullptr;
-        obs::Gauge *bytes_gauge = nullptr;
-
-        explicit Shard(const PotluckConfig &config) : table(config) {}
+        FunctionDomain *domain;
+        KeyIndex *slot;
     };
 
-    /** Best in-threshold hit a single shard produced for a lookup. */
-    struct ShardHit
+    /** One key's probe of its slot: the lookup result plus, on a hit,
+     * the winning entry's computation overhead (Section 3.3) — what
+     * the hit saved the caller; feeds savings accounting. */
+    struct Probe
     {
-        bool valid = false;
-        Value value;
-        EntryId id = 0;
-        double dist = 0.0;
-        /** Winning entry's computation overhead (Section 3.3) — what
-         * this hit saved the caller; feeds savings accounting. */
+        LookupResult result;
         double overhead_us = 0.0;
     };
 
-    /** Outcome of probing one shard during lookup(). */
-    struct ProbeOutcome
-    {
-        ShardHit hit;
-        double nearest_dist = -1.0; ///< unfiltered NN distance; -1 = none
-    };
+    /** Find a slot under the table lock; both pointers are null when
+     * the pair is unregistered. Found pointers stay valid for the
+     * service's lifetime. */
+    SlotRef findSlot(const std::string &function,
+                     const std::string &key_type) const;
 
-    /** Nearest stored neighbour of a put key within one shard. */
-    struct PutProbe
-    {
-        bool valid = false;
-        double dist = 0.0;
-        Value value;
-        std::string app;
-    };
+    /** findSlot() that FATALs when the pair is unregistered. */
+    SlotRef resolve(const std::string &function, const std::string &key_type,
+                    const char *verb) const;
 
-    /** Home shard of (function, key): FNV-1a over both byte streams. */
-    size_t shardOf(const std::string &function,
-                   const FeatureVector &key) const;
+    /** The domains in registration order (a copy, taken under the
+     * table lock, so callers may then lock domains one at a time). */
+    std::vector<FunctionDomain *> domains() const;
 
-    /** Canonical slot (shard 0's); FATALs when unregistered. Its
-     * atomic SlotStats and registry pointers are the per-slot counters
-     * every shard's traffic feeds. */
-    KeyIndex *canonicalSlot(const std::string &function,
-                            const std::string &key_type,
-                            const char *verb);
-
-    /** Probe one shard for a lookup, under its shared lock. */
-    ProbeOutcome probeLookupShard(Shard &shard, const std::string &function,
-                                  const std::string &key_type,
-                                  const FeatureVector &key, uint64_t now);
-
-    /** One key's probe against an already-resolved slot; the caller
-     * holds `shard`'s shared lock (the per-key body of
-     * probeLookupShard, shared with the batched path). `traced` opens
-     * a per-probe span; the batched path passes false and wraps the
-     * whole shard pass in one span instead. */
-    ProbeOutcome probeSlotLocked(Shard &shard, KeyIndex *slot,
-                                 const FeatureVector &key, uint64_t now,
-                                 bool traced = true);
-
-    /** Probe one shard for a put's tuner observation (shared lock). */
-    PutProbe probePutShard(Shard &shard, const std::string &function,
-                           const std::string &key_type,
-                           const FeatureVector &key);
+    /** One key's probe against its slot; the caller holds the domain's
+     * shared lock. `traced` opens a per-probe span; the batched path
+     * passes false and wraps the whole pass in one span instead. */
+    Probe probeLocked(FunctionDomain &domain, KeyIndex &slot,
+                      const FeatureVector &key, uint64_t now,
+                      bool traced = true);
 
     /**
-     * Remove an entry from one shard's indices + storage and hand it
-     * back by move — teardown is split from destruction so the
-     * eviction path can pass the victim (keys + value) to the cold
-     * tier without cloning it. Returns a default entry (id == 0) when
-     * the id raced away. Caller holds the shard's EXCLUSIVE lock.
+     * Remove an entry from its domain and hand it back by move —
+     * teardown is split from destruction so the eviction path can
+     * pass the victim (keys + value) to the cold tier without cloning
+     * it. Returns a default entry (id == 0) when the id raced away.
+     * Caller holds the domain's EXCLUSIVE lock.
      */
-    CacheEntry removeEntryInShard(Shard &shard, EntryId id, bool expired);
+    CacheEntry removeLocked(FunctionDomain &domain, EntryId id, bool expired);
 
     /**
      * Re-insert a cold-tier hit into RAM: assign a fresh id, index it
@@ -433,17 +382,15 @@ class PotluckService
      * casts no reputation vote and fires no put observers — it is an
      * internal tier move, not new data. Call with NO locks held.
      */
-    EntryId insertPromoted(CacheEntry entry, uint64_t now);
+    EntryId insertPromoted(FunctionDomain &domain, CacheEntry entry,
+                           uint64_t now);
 
-    /** Evict until within capacity. Takes capacity_mutex_, then shard
-     * locks one at a time; call with NO shard lock held. */
+    /** Evict until within capacity. Takes capacity_mutex_, then domain
+     * locks one at a time; call with NO domain lock held. */
     void enforceCapacity();
 
     /** Refresh cache.entries / cache.bytes from the atomic totals. */
     void updateGlobalGauges();
-
-    /** Refresh a shard's gauges (its lock held; no-op when N == 1). */
-    void updateShardGauges(Shard &shard);
 
     /** Log an eviction decision (the victim's importance inputs). */
     void recordEviction(const CacheEntry &victim);
@@ -454,7 +401,7 @@ class PotluckService
      * and the FLOPs estimate. Lock-free except the first hit of a
      * never-seen app (registers its counter).
      */
-    void accountSavings(KeyIndex *slot0, const std::string &app,
+    void accountSavings(KeyIndex &slot, const std::string &app,
                         double overhead_us);
 
     /**
@@ -497,7 +444,6 @@ class PotluckService
         obs::LatencyHistogram *put_total_ns = nullptr;
         obs::LatencyHistogram *put_probe_ns = nullptr;
         obs::LatencyHistogram *evict_ns = nullptr;
-        obs::LatencyHistogram *fanout_ns = nullptr;
     };
 
     PotluckConfig config_;
@@ -508,22 +454,21 @@ class PotluckService
     std::unique_ptr<obs::FlightRecorder> recorder_;
     ServiceObs obs_;
 
-    /** The shards. Sized once in the constructor, never resized, so
-     * the vector itself needs no lock. */
-    std::vector<std::unique_ptr<Shard>> shards_;
-
-    /** Pool for parallel_fanout kNN probes; null when sequential. */
-    std::unique_ptr<ThreadPool> fanout_pool_;
+    /** The function domains (Fig. 5). The table's maps change only
+     * under table_mutex_ held exclusively (registration); every other
+     * path holds it shared just long enough to resolve a domain. */
+    FunctionTable table_;
+    mutable std::shared_mutex table_mutex_;
 
     /**
-     * Leaf lock for cross-shard scalar state: rng_, pending_miss_us_,
-     * reputation_, extractors_, put_observers_. May be taken while
-     * holding a shard lock; never the reverse.
+     * Leaf lock for service-wide scalar state: rng_, pending_miss_us_,
+     * reputation_, put_observers_, miss_handler_. May be taken while
+     * holding a domain lock; never the reverse.
      */
     mutable std::mutex meta_mutex_;
 
     /** Serializes global eviction so concurrent puts don't both scan
-     * all shards. Taken with no shard lock held. */
+     * all domains. Taken with no domain lock held. */
     std::mutex capacity_mutex_;
 
     std::unique_ptr<EvictionPolicy> eviction_; ///< under capacity_mutex_
@@ -540,16 +485,11 @@ class PotluckService
     Rng rng_; ///< under meta_mutex_
     std::atomic<EntryId> next_id_{1};
 
-    /// @name Global occupancy, maintained by shard mutations.
+    /// @name Global occupancy, maintained by domain mutations.
     /// @{
     std::atomic<size_t> entries_total_{0};
     std::atomic<size_t> bytes_total_{0};
     /// @}
-
-    /** Extractors for cross-type key propagation: function -> type. */
-    std::map<std::pair<std::string, std::string>,
-             std::shared_ptr<FeatureExtractor>>
-        extractors_;
 
     /** Pending lookup-miss timestamps per (app, function). */
     std::map<std::pair<std::string, std::string>, uint64_t> pending_miss_us_;

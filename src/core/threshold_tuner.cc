@@ -20,9 +20,9 @@ ThresholdTuner::observe(double nn_dist, bool values_equal)
     if (!active())
         return;
     ++observations_;
-    // observe() always runs under the owning shard's exclusive lock, so
-    // this read-modify-write is single-writer; the atomic store only
-    // protects concurrent threshold() readers under shared locks.
+    // observe() always runs under the owning domain's exclusive lock,
+    // so this read-modify-write is single-writer; the atomic store only
+    // protects concurrent threshold() readers.
     double current = threshold_.load(std::memory_order_relaxed);
     if (nn_dist <= current && !values_equal) {
         // False positive: too loose; tighten aggressively (line 7-8).

@@ -49,9 +49,10 @@ class ThresholdTuner
      * Current threshold. 0 until warm-up completes, so the cache
      * degenerates to exact matching early on — matching the paper's
      * "initialize threshold <- 0". Safe to read concurrently with
-     * observe(): lookups read this under a SHARED shard lock while a
-     * put on the same shard may be tuning under the exclusive lock of
-     * a different moment — the value is a single atomic double.
+     * observe(): lookups read this under the SHARED domain lock, or
+     * with no lock at all (the cold-tier probe), while a put may be
+     * tuning under the exclusive one — the value is a single atomic
+     * double.
      */
     double
     threshold() const

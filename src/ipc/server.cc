@@ -342,7 +342,7 @@ PotluckServer::serveClient(FrameSocket client)
             try {
                 // Marshal the reply in place — into the shm ring, or
                 // one exact-size buffer for UDS. Values (shared_ptrs
-                // into shard storage) are copied exactly once, here.
+                // into cache storage) are copied exactly once, here.
                 transport->sendFrameDirect(out_len, [&reply](uint8_t *dst) {
                     encodeReplyTo(reply, dst);
                 });

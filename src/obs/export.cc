@@ -205,21 +205,12 @@ toPrometheus(const RegistrySnapshot &snapshot)
     std::ostringstream out;
     out << buildInfoPrometheus();
     for (const auto &c : snapshot.counters) {
-        std::string name = prometheusName(c.name);
-        std::string conformant = counterName(name);
-        out << "# HELP " << conformant
+        std::string name = counterName(prometheusName(c.name));
+        out << "# HELP " << name
             << " Monotonic Potluck counter (cumulative since process "
                "start).\n"
-            << "# TYPE " << conformant << " counter\n"
-            << conformant << " " << c.value << "\n";
-        if (conformant != name) {
-            // Deprecated un-suffixed alias, kept for one release so
-            // existing scrapes keep working.
-            out << "# HELP " << name << " Deprecated alias for "
-                << conformant << ".\n"
-                << "# TYPE " << name << " counter\n"
-                << name << " " << c.value << "\n";
-        }
+            << "# TYPE " << name << " counter\n"
+            << name << " " << c.value << "\n";
     }
     for (const auto &g : snapshot.gauges) {
         std::string name = prometheusName(g.name);
@@ -228,17 +219,10 @@ toPrometheus(const RegistrySnapshot &snapshot)
             << name << " " << g.value << "\n";
     }
     for (const auto &h : snapshot.histograms) {
-        std::string name = prometheusName(h.name);
-        auto [conformant, scale] = baseUnitName(name);
-        out << "# HELP " << conformant
+        auto [name, scale] = baseUnitName(prometheusName(h.name));
+        out << "# HELP " << name
             << " Potluck latency/size distribution (summary).\n";
-        emitSummary(out, conformant, h.hist, scale);
-        if (conformant != name) {
-            // Deprecated raw-unit alias (values unscaled), one release.
-            out << "# HELP " << name << " Deprecated alias for "
-                << conformant << " (pre-base-unit values).\n";
-            emitSummary(out, name, h.hist, 1.0);
-        }
+        emitSummary(out, name, h.hist, scale);
     }
     return out.str();
 }

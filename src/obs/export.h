@@ -31,8 +31,7 @@ std::string toJson(const RegistrySnapshot &snapshot);
  * have dots rewritten to underscores; every family gets `# HELP` and
  * `# TYPE` lines. Counters carry the conformant `_total` suffix and
  * `*_ns`/`*_us`/`*_ms` histograms are exported as `*_seconds`
- * summaries in base units — each with its pre-PR-8 name kept as a
- * deprecated alias for one release. Histograms are summaries with
+ * summaries in base units. Histograms are summaries with
  * p50/p90/p99 quantile labels plus _count and _sum (the full bucket
  * vector stays in the binary wire format, not the scrape output).
  * The identity block (`potluck_build_info`, `process_uptime_seconds`)

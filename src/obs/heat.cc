@@ -10,7 +10,7 @@ namespace potluck::obs {
 
 namespace {
 
-/** FNV-1a — the same constants as PotluckService::shardOf. */
+/** FNV-1a (64-bit offset basis and prime). */
 uint64_t
 fnv1a(const void *data, size_t len, uint64_t h = 1469598103934665603ULL)
 {

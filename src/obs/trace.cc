@@ -108,10 +108,13 @@ FlightRecorder::publish(const TraceRecord &record)
     if (!slot.seq.compare_exchange_strong(cur, 2 * pos + 1,
                                           std::memory_order_relaxed))
         return;
-    // The odd stamp must be visible before any body byte (seqlock
-    // writer protocol); readers re-check the stamp after copying.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    slot.record = record;
+    // Each body word is a release store, so a reader whose acquire
+    // load sees it also sees the odd stamp on its re-read (seqlock
+    // writer protocol) and discards the cell.
+    uint64_t words[kRecordWords];
+    std::memcpy(words, &record, sizeof(record));
+    for (size_t i = 0; i < kRecordWords; ++i)
+        slot.words[i].store(words[i], std::memory_order_release);
     slot.seq.store(2 * pos + 2, std::memory_order_release);
 }
 
@@ -122,12 +125,14 @@ FlightRecorder::readSlot(const Slot &slot, TraceRecord &out,
     uint64_t s1 = slot.seq.load(std::memory_order_acquire);
     if (s1 == 0 || (s1 & 1))
         return false;
-    out = slot.record;
-    // Order the body copy before the validation re-read.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads keep the body copy before the validation re-read.
+    uint64_t words[kRecordWords];
+    for (size_t i = 0; i < kRecordWords; ++i)
+        words[i] = slot.words[i].load(std::memory_order_acquire);
     uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
     if (s1 != s2)
         return false; // overwritten mid-copy: discard the torn cell
+    std::memcpy(&out, words, sizeof(out));
     pos = (s1 - 2) / 2;
     return true;
 }

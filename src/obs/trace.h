@@ -46,6 +46,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -209,12 +210,21 @@ class FlightRecorder
     /// @}
 
   private:
+    static_assert(std::is_trivially_copyable_v<TraceRecord> &&
+                      sizeof(TraceRecord) % sizeof(uint64_t) == 0,
+                  "a slot stores a TraceRecord as whole 64-bit words");
+    static constexpr size_t kRecordWords =
+        sizeof(TraceRecord) / sizeof(uint64_t);
+
     struct Slot
     {
         /** 0 = never written; odd = write in progress; even = record
          * for generation (seq - 2) / 2 is published. */
         std::atomic<uint64_t> seq{0};
-        TraceRecord record;
+        /** The record's bytes. Atomic words, so a reader racing a
+         * writer reads a torn cell through atomics (and discards it),
+         * never a plain object under a data race. */
+        std::atomic<uint64_t> words[kRecordWords];
     };
 
     /** Copy one slot if it holds a stable published record. */

@@ -709,12 +709,10 @@ TEST(ObserverReentrancy, ObserversMayReenterShardedParallelService)
     // Regression lock-order audit (DESIGN.md §10): put observers are
     // delivered on the putting thread AFTER every service lock is
     // released, so an observer may re-enter lookup()/put() — that is
-    // exactly what the cluster hooks do. Hammer a 4-shard service with
-    // parallel fanout while the observer re-enters both paths.
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
-    cfg.parallel_fanout = true;
-    PotluckService service(cfg);
+    // exactly what the cluster hooks do. Hammer two functions (two lock
+    // domains) while the observer re-enters both paths, each time in
+    // the other function's domain.
+    PotluckService service(quietConfig());
     service.registerKeyType("fa", {"vec", Metric::L2, IndexKind::KdTree});
     service.registerKeyType("fb", {"vec", Metric::L2, IndexKind::KdTree});
 

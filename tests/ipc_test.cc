@@ -1075,7 +1075,6 @@ TEST(EndToEnd, BatchVerbsOverSocket)
     PotluckConfig cfg;
     cfg.dropout_probability = 0.0;
     cfg.warmup_entries = 0;
-    cfg.num_shards = 4; // exercise the sharded hot path over IPC
     PotluckService service(cfg);
     std::string path = tempSocketPath("batch");
     PotluckServer server(service, path);

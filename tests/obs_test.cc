@@ -289,13 +289,15 @@ TEST(Export, PrometheusRewritesNamesAndEmitsTypes)
     reg.counter("service.lookups").inc(7);
     reg.histogram("lookup.total_ns").record(1000);
     std::string prom = obs::toPrometheus(reg.snapshot());
-    EXPECT_NE(prom.find("# TYPE service_lookups counter"), std::string::npos)
+    EXPECT_NE(prom.find("# TYPE service_lookups_total counter"),
+              std::string::npos)
         << prom;
-    EXPECT_NE(prom.find("service_lookups 7"), std::string::npos);
-    EXPECT_NE(prom.find("# TYPE lookup_total_ns summary"), std::string::npos);
-    EXPECT_NE(prom.find("lookup_total_ns{quantile=\"0.99\"}"),
+    EXPECT_NE(prom.find("service_lookups_total 7"), std::string::npos);
+    EXPECT_NE(prom.find("# TYPE lookup_total_seconds summary"),
               std::string::npos);
-    EXPECT_NE(prom.find("lookup_total_ns_count 1"), std::string::npos);
+    EXPECT_NE(prom.find("lookup_total_seconds{quantile=\"0.99\"}"),
+              std::string::npos);
+    EXPECT_NE(prom.find("lookup_total_seconds_count 1"), std::string::npos);
     EXPECT_EQ(obs::prometheusName("fn.recognize.hits"), "fn_recognize_hits");
 }
 
@@ -343,7 +345,8 @@ TEST(Export, PrometheusSanitizesHostileNames)
     std::string prom = obs::toPrometheus(reg.snapshot());
     // Every non-[a-zA-Z0-9_:] byte becomes '_': no injected newline
     // can forge an extra sample line, no quote can escape a label.
-    EXPECT_NE(prom.find("fn_evil__1__lookups 3"), std::string::npos) << prom;
+    EXPECT_NE(prom.find("fn_evil__1__lookups_total 3"), std::string::npos)
+        << prom;
     EXPECT_EQ(obs::prometheusName("0leading"), "_leading");
     for (const char *line_breaker : {"\" 1", "evil\""})
         EXPECT_EQ(prom.find(line_breaker), std::string::npos) << prom;
@@ -354,9 +357,9 @@ TEST(Export, PrometheusSanitizesHostileNames)
 // Scraped by real Prometheus, the exporter must follow text format
 // 0.0.4: counters carry a `_total` suffix, durations are exported in
 // base seconds, and every family gets `# HELP` / `# TYPE` headers.
-// The pre-conformance names stay behind as deprecated aliases for one
-// release so existing scrape configs and the check.sh awk assertions
-// keep working.
+// The pre-conformance aliases (un-suffixed counters, raw-unit
+// histograms) were served for one release and are gone: each test
+// below also checks that no alias is emitted.
 
 TEST(Export, PrometheusCountersGetTotalSuffixWithDeprecatedAlias)
 {
@@ -368,11 +371,10 @@ TEST(Export, PrometheusCountersGetTotalSuffixWithDeprecatedAlias)
     EXPECT_NE(prom.find("# TYPE service_hits_total counter"),
               std::string::npos);
     EXPECT_NE(prom.find("\nservice_hits_total 9\n"), std::string::npos);
-    // Deprecated alias: old name, same value, its own HELP/TYPE.
-    EXPECT_NE(prom.find("# TYPE service_hits counter"), std::string::npos);
-    EXPECT_NE(prom.find("\nservice_hits 9\n"), std::string::npos);
-    EXPECT_NE(prom.find("Deprecated alias for service_hits_total"),
-              std::string::npos);
+    // No alias under the old name.
+    EXPECT_EQ(prom.find("# TYPE service_hits counter"), std::string::npos);
+    EXPECT_EQ(prom.find("\nservice_hits 9\n"), std::string::npos);
+    EXPECT_EQ(prom.find("Deprecated"), std::string::npos);
 }
 
 TEST(Export, PrometheusCounterAlreadyTotalIsNotDoubled)
@@ -399,9 +401,9 @@ TEST(Export, PrometheusHistogramsScaleToBaseSeconds)
     EXPECT_NE(prom.find("lookup_total_seconds_count 1"), std::string::npos);
     EXPECT_NE(prom.find("lookup_total_seconds{quantile=\"0.5\"}"),
               std::string::npos);
-    // ...while the deprecated alias keeps raw nanoseconds.
-    EXPECT_NE(prom.find("lookup_total_ns_sum 1000"), std::string::npos);
-    EXPECT_NE(prom.find("lookup_total_ns_count 1"), std::string::npos);
+    // ...and no raw-nanosecond alias.
+    EXPECT_EQ(prom.find("lookup_total_ns"), std::string::npos);
+    EXPECT_EQ(prom.find("Deprecated"), std::string::npos);
 }
 
 TEST(Export, PrometheusByteHistogramsPassThroughUnscaled)

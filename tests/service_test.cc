@@ -8,9 +8,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "core/cache_manager.h"
+#include "core/eviction.h"
 #include "core/potluck_service.h"
 #include "features/downsample.h"
 
@@ -485,64 +490,41 @@ TEST(Service, ConcurrentLookupsAndPutsAreSafe)
     EXPECT_LE(service.numEntries(), 64u);
 }
 
-// ---------- Sharded service ----------
-
-TEST(ShardedService, DefaultIsSingleShard)
-{
-    PotluckService service(quietConfig());
-    EXPECT_EQ(service.numShards(), 1u);
-}
+// ---------- Function domains ----------
+//
+// Each registered function is one lock domain: its slots and entries
+// sit behind one reader/writer lock. The ShardedService tests predate
+// that layout; they keep their names and now spread their entries over
+// several functions, i.e. several domains.
 
 TEST(ShardedService, BasicHitMissAcrossShards)
 {
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
-    PotluckService service(cfg);
-    EXPECT_EQ(service.numShards(), 4u);
-    service.registerKeyType("f", kt());
+    PotluckService service(quietConfig());
+    const char *fns[] = {"f0", "f1", "f2", "f3"};
+    for (const char *fn : fns)
+        service.registerKeyType(fn, kt());
 
-    // Entries land in different shards by key hash; every one must be
-    // findable because lookups fan out across all shards.
     for (int i = 0; i < 64; ++i)
-        service.put("f", "vec", key1d(static_cast<float>(10 * i)),
+        service.put(fns[i % 4], "vec", key1d(static_cast<float>(10 * i)),
                     encodeInt(i), {});
     EXPECT_EQ(service.numEntries(), 64u);
     for (int i = 0; i < 64; ++i) {
-        LookupResult r = service.lookup("app", "f", "vec",
+        LookupResult r = service.lookup("app", fns[i % 4], "vec",
                                         key1d(static_cast<float>(10 * i)));
         ASSERT_TRUE(r.hit) << "key " << i;
         EXPECT_EQ(decodeInt(r.value), i);
     }
-    LookupResult miss = service.lookup("app", "f", "vec", key1d(-777.0f));
+    LookupResult miss = service.lookup("app", "f0", "vec", key1d(-777.0f));
     EXPECT_FALSE(miss.hit);
-}
-
-TEST(ShardedService, ParallelFanoutMatchesSequential)
-{
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
-    cfg.parallel_fanout = true;
-    PotluckService service(cfg);
-    service.registerKeyType("f", kt());
-    for (int i = 0; i < 32; ++i)
-        service.put("f", "vec", key1d(static_cast<float>(5 * i)),
-                    encodeInt(i), {});
-    for (int i = 0; i < 32; ++i) {
-        LookupResult r = service.lookup("app", "f", "vec",
-                                        key1d(static_cast<float>(5 * i)));
-        ASSERT_TRUE(r.hit) << "key " << i;
-        EXPECT_EQ(decodeInt(r.value), i);
-    }
+    // A key stored under one function is invisible to another.
+    EXPECT_FALSE(service.lookup("app", "f1", "vec", key1d(0.0f)).hit);
 }
 
 TEST(ShardedService, NearestNeighborIsGlobalAcrossShards)
 {
-    // The true nearest neighbour of a query may live in any shard:
-    // the fan-out merge must return the global best, not a per-shard
-    // local one.
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 8;
-    PotluckService service(cfg);
+    // The lookup must return the nearest of ALL the function's
+    // entries, not merely one within the threshold.
+    PotluckService service(quietConfig());
     service.registerKeyType("f", kt());
     for (int i = 0; i < 40; ++i)
         service.put("f", "vec", key1d(static_cast<float>(100 * i)),
@@ -558,12 +540,13 @@ TEST(ShardedService, NearestNeighborIsGlobalAcrossShards)
 TEST(ShardedService, CapacityEvictionSpansShards)
 {
     PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
     cfg.max_entries = 16;
     PotluckService service(cfg);
-    service.registerKeyType("f", kt());
+    const char *fns[] = {"f0", "f1", "f2", "f3"};
+    for (const char *fn : fns)
+        service.registerKeyType(fn, kt());
     for (int i = 0; i < 100; ++i)
-        service.put("f", "vec", key1d(static_cast<float>(3 * i)),
+        service.put(fns[i % 4], "vec", key1d(static_cast<float>(3 * i)),
                     encodeInt(i), {});
     EXPECT_LE(service.numEntries(), 16u);
     EXPECT_GE(service.stats().evictions, 84u);
@@ -572,45 +555,47 @@ TEST(ShardedService, CapacityEvictionSpansShards)
 TEST(ShardedService, LruEvictionEvictsColdestAcrossShards)
 {
     PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
     cfg.max_entries = 8;
     cfg.eviction = EvictionKind::Lru;
     VirtualClock clock;
     PotluckService service(cfg, &clock);
-    service.registerKeyType("f", kt());
+    const char *fns[] = {"f0", "f1", "f2", "f3"};
+    for (const char *fn : fns)
+        service.registerKeyType(fn, kt());
     for (int i = 0; i < 8; ++i) {
         clock.advanceUs(1000);
-        service.put("f", "vec", key1d(static_cast<float>(10 * i)),
+        service.put(fns[i % 4], "vec", key1d(static_cast<float>(10 * i)),
                     encodeInt(i), {});
     }
-    // Touch every entry except #0, so #0 is globally the coldest no
-    // matter which shard holds it.
+    // Touch every entry except #0, so #0 is globally the coldest even
+    // though its own function holds a warmer one (#4).
     for (int i = 1; i < 8; ++i) {
         clock.advanceUs(1000);
         ASSERT_TRUE(service
-                        .lookup("app", "f", "vec",
+                        .lookup("app", fns[i % 4], "vec",
                                 key1d(static_cast<float>(10 * i)))
                         .hit);
     }
     clock.advanceUs(1000);
-    service.put("f", "vec", key1d(999.0f), encodeInt(99), {});
+    service.put("f1", "vec", key1d(999.0f), encodeInt(99), {});
     EXPECT_LE(service.numEntries(), 8u);
-    EXPECT_FALSE(service.lookup("app", "f", "vec", key1d(0.0f)).hit);
-    EXPECT_TRUE(service.lookup("app", "f", "vec", key1d(70.0f)).hit);
+    EXPECT_FALSE(service.lookup("app", "f0", "vec", key1d(0.0f)).hit);
+    EXPECT_TRUE(service.lookup("app", "f0", "vec", key1d(40.0f)).hit);
+    EXPECT_TRUE(service.lookup("app", "f3", "vec", key1d(70.0f)).hit);
 }
 
 TEST(ShardedService, TtlExpirySweepsEveryShard)
 {
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
     VirtualClock clock;
-    PotluckService service(cfg, &clock);
-    service.registerKeyType("f", kt());
+    PotluckService service(quietConfig(), &clock);
+    const char *fns[] = {"f0", "f1", "f2", "f3"};
+    for (const char *fn : fns)
+        service.registerKeyType(fn, kt());
     PutOptions short_ttl;
     short_ttl.ttl_us = 100;
     for (int i = 0; i < 20; ++i)
-        service.put("f", "vec", key1d(static_cast<float>(i)), encodeInt(i),
-                    short_ttl);
+        service.put(fns[i % 4], "vec", key1d(static_cast<float>(i)),
+                    encodeInt(i), short_ttl);
     clock.advanceUs(1000);
     EXPECT_EQ(service.sweepExpired(), 20u);
     EXPECT_EQ(service.numEntries(), 0u);
@@ -618,29 +603,156 @@ TEST(ShardedService, TtlExpirySweepsEveryShard)
 
 TEST(ShardedService, ThresholdIsSetAndReadAcrossShards)
 {
-    PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 4;
-    PotluckService service(cfg);
+    PotluckService service(quietConfig());
     service.registerKeyType("f", kt());
     service.setThreshold("f", "vec", 2.5);
     EXPECT_DOUBLE_EQ(service.threshold("f", "vec"), 2.5);
 }
 
-TEST(ShardedService, ShardGaugesTrackOccupancy)
+/**
+ * Brute-force oracle for capacity eviction over several domains: every
+ * victim must be the entry with the lowest policy score among ALL
+ * entries (the new put's included), ties to the lowest id. Lookups
+ * between puts raise access counts and stamps, and the clock advances
+ * only every other step, so scores tie often.
+ */
+void
+expectEvictionMatchesOracle(EvictionKind kind)
 {
     PotluckConfig cfg = quietConfig();
-    cfg.num_shards = 2;
-    PotluckService service(cfg);
-    service.registerKeyType("f", kt());
-    for (int i = 0; i < 10; ++i)
-        service.put("f", "vec", key1d(static_cast<float>(i)), encodeInt(i),
-                    {});
-    obs::RegistrySnapshot snap = service.metrics().snapshot();
-    int64_t total = 0;
-    for (size_t s = 0; s < 2; ++s)
-        total += snap.gaugeValue("cache.shard." + std::to_string(s) +
-                                 ".entries");
-    EXPECT_EQ(total, 10);
+    cfg.max_entries = 9;
+    cfg.eviction = kind;
+    VirtualClock clock;
+    PotluckService service(cfg, &clock);
+    const char *fns[] = {"f0", "f1", "f2"};
+    for (const char *fn : fns)
+        service.registerKeyType(fn, kt());
+    std::unique_ptr<EvictionPolicy> policy = makeEvictionPolicy(kind, 1);
+
+    struct Resident
+    {
+        const char *fn;
+        float x;
+    };
+    std::map<EntryId, Resident> resident;
+    size_t evictions = 0;
+    for (int i = 0; i < 90; ++i) {
+        if (i % 2 == 0)
+            clock.advanceUs(10);
+        if (!resident.empty()) {
+            auto it = std::next(resident.begin(),
+                                static_cast<long>((i * 7) % resident.size()));
+            ASSERT_TRUE(service
+                            .lookup("app", it->second.fn, "vec",
+                                    key1d(it->second.x))
+                            .hit);
+        }
+
+        std::map<EntryId, double> scores;
+        service.forEachEntry([&](const CacheEntry &e) {
+            scores[e.id] = policy->victimScore(e);
+        });
+
+        const char *fn = fns[(i * 5) % 3];
+        float x = static_cast<float>(i);
+        PutOptions opts;
+        opts.compute_overhead_us = 100.0 * (1 + (i % 3));
+        CacheEntry mirror; // what put() stores, for the new entry's score
+        mirror.keys["vec"] = key1d(x);
+        mirror.value = encodeInt(i);
+        mirror.compute_overhead_us = *opts.compute_overhead_us;
+        mirror.last_access_us = clock.nowUs();
+        EntryId id = service.put(fn, "vec", key1d(x), encodeInt(i), opts);
+        scores[id] = policy->victimScore(mirror);
+        resident[id] = {fn, x};
+
+        std::set<EntryId> after;
+        service.forEachEntry([&](const CacheEntry &e) { after.insert(e.id); });
+        std::vector<EntryId> evicted;
+        for (const auto &[eid, score] : scores)
+            if (!after.count(eid))
+                evicted.push_back(eid);
+        if (scores.size() <= cfg.max_entries) {
+            EXPECT_TRUE(evicted.empty()) << "step " << i;
+            continue;
+        }
+        ASSERT_EQ(evicted.size(), 1u) << "step " << i;
+        EntryId expected = 0;
+        double lowest = 0.0;
+        for (const auto &[eid, score] : scores) {
+            if (expected == 0 || score < lowest) {
+                expected = eid; // id order: ties keep the lowest id
+                lowest = score;
+            }
+        }
+        EXPECT_EQ(evicted.front(), expected) << "step " << i;
+        resident.erase(evicted.front());
+        ++evictions;
+    }
+    EXPECT_EQ(evictions, 90u - cfg.max_entries);
+}
+
+TEST(DomainEviction, ImportanceVictimIsTheGlobalMinimum)
+{
+    expectEvictionMatchesOracle(EvictionKind::Importance);
+}
+
+TEST(DomainEviction, LruVictimIsTheGlobalMinimum)
+{
+    expectEvictionMatchesOracle(EvictionKind::Lru);
+}
+
+/**
+ * A put whose Section 3.7 key extraction blocks (a LambdaExtractor
+ * waiting on a latch), and a lookup on `lookup_fn` that must still
+ * answer within a second: extraction runs with no lock held.
+ */
+void
+expectLookupDuringExtraction(const std::string &lookup_fn)
+{
+    PotluckService service(quietConfig());
+    std::promise<void> entered;
+    std::latch release(1);
+    auto blocking = std::make_shared<LambdaExtractor>(
+        "alt", Metric::L2, [&](const Image &) {
+            entered.set_value();
+            release.wait();
+            return key1d(1.0f);
+        });
+    service.registerKeyType("a", kt());
+    service.registerKeyType("a", kt("alt"), blocking);
+    service.registerKeyType("b", kt());
+    service.put("a", "vec", key1d(5.0f), encodeInt(5), {});
+    service.put("b", "vec", key1d(5.0f), encodeInt(6), {});
+
+    Image raw(8, 8, 1, 100);
+    std::thread putter([&] {
+        PutOptions opts;
+        opts.raw_input = &raw;
+        service.put("a", "vec", key1d(9.0f), encodeInt(9), opts);
+    });
+    entered.get_future().wait();
+    auto lookup = std::async(std::launch::async, [&] {
+        return service.lookup("app", lookup_fn, "vec", key1d(5.0f));
+    });
+    bool answered = lookup.wait_for(std::chrono::seconds(1)) ==
+                    std::future_status::ready;
+    release.count_down();
+    putter.join();
+    EXPECT_TRUE(answered) << "lookup on '" << lookup_fn
+                          << "' waited for another put's key extraction";
+    EXPECT_TRUE(lookup.get().hit);
+    EXPECT_TRUE(service.lookup("app", "a", "vec", key1d(9.0f)).hit);
+}
+
+TEST(DomainLocking, OtherFunctionLookupDoesNotWaitForExtraction)
+{
+    expectLookupDuringExtraction("b");
+}
+
+TEST(DomainLocking, SameFunctionLookupDoesNotWaitForExtraction)
+{
+    expectLookupDuringExtraction("a");
 }
 
 } // namespace

@@ -1,12 +1,12 @@
 /**
  * @file
- * Multi-threaded stress tests for the sharded service: concurrent
- * lookups, puts, expiry sweeps and capacity eviction across shard
- * counts and index backends. These tests assert invariants (no
- * exceptions, capacity respected, exact keys findable) rather than
- * exact counts — interleavings vary — and are the workload the
- * ThreadSanitizer stage of scripts/check.sh runs to prove the shard
- * locking, the flat index's filter fits (inside insert, under the
+ * Multi-threaded stress tests for the service: concurrent lookups,
+ * puts, expiry sweeps and capacity eviction across several functions
+ * (lock domains) and every index backend. These tests assert
+ * invariants (no exceptions, capacity respected, exact keys findable)
+ * rather than exact counts — interleavings vary — and are the workload
+ * the ThreadSanitizer stage of scripts/check.sh runs to prove the
+ * domain locking, the flat index's filter fits (inside insert, under the
  * exclusive lock, while lookups read under the shared one) and the LSH
  * lazy projections are race-free — and that the shm ring transport's
  * SPSC protocol
@@ -35,10 +35,9 @@ namespace potluck {
 namespace {
 
 PotluckConfig
-stressConfig(size_t shards)
+stressConfig()
 {
     PotluckConfig cfg;
-    cfg.num_shards = shards;
     cfg.warmup_entries = 0;     // tuner active: exercises put probes
     cfg.dropout_probability = 0.1;
     cfg.max_entries = 256;      // small: eviction runs constantly
@@ -131,20 +130,15 @@ class StressAllIndexes : public ::testing::TestWithParam<IndexKind>
 
 TEST_P(StressAllIndexes, MixedWorkloadSingleShard)
 {
-    runMixedWorkload(stressConfig(1), GetParam(), 4, 300);
-}
-
-TEST_P(StressAllIndexes, MixedWorkloadFourShards)
-{
-    runMixedWorkload(stressConfig(4), GetParam(), 4, 300);
+    runMixedWorkload(stressConfig(), GetParam(), 4, 300);
 }
 
 TEST_P(StressAllIndexes, FilterFitsUnderConcurrentLookups)
 {
-    // Enough 64-d keys in one shard to take the flat index past its
+    // Enough 64-d keys in one slot to take the flat index past its
     // first filter fit (256 rows) and its refit (512), while readers
     // probe the same slot under the shared lock.
-    PotluckConfig cfg = stressConfig(1);
+    PotluckConfig cfg = stressConfig();
     cfg.max_entries = 4096;
     cfg.default_ttl_us = 3600ULL * 1000 * 1000;
     cfg.dropout_probability = 0.0;
@@ -203,19 +197,12 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, StressAllIndexes,
                              return indexKindName(info.param);
                          });
 
-TEST(Stress, ParallelFanoutUnderContention)
-{
-    PotluckConfig cfg = stressConfig(8);
-    cfg.parallel_fanout = true;
-    runMixedWorkload(cfg, IndexKind::KdTree, 4, 200);
-}
-
 TEST(Stress, ConcurrentRegistrationAndTraffic)
 {
-    // Registrations racing lookups/puts: a slot visible in shard 0
-    // must already exist in every shard (registration replicates
-    // shard 0 last), so traffic never sees a half-registered slot.
-    PotluckConfig cfg = stressConfig(4);
+    // Registrations racing lookups/puts: every new function grows the
+    // domain table while other threads resolve and lock their own
+    // domains, so traffic never sees a half-registered slot.
+    PotluckConfig cfg = stressConfig();
     PotluckService service(cfg);
     std::atomic<int> errors{0};
     std::vector<std::thread> threads;
@@ -244,8 +231,8 @@ TEST(Stress, ConcurrentExactLookupsAlwaysHitResidentEntries)
 {
     // Read-mostly correctness: with eviction and expiry out of the
     // picture, a resident exact key must hit from every thread, every
-    // time, while writers keep inserting into other shards.
-    PotluckConfig cfg = stressConfig(4);
+    // time, while a writer keeps inserting into another function.
+    PotluckConfig cfg = stressConfig();
     cfg.max_entries = 100000;
     cfg.default_ttl_us = 3600ULL * 1000 * 1000;
     cfg.dropout_probability = 0.0;
@@ -275,7 +262,7 @@ TEST(Stress, ConcurrentExactLookupsAlwaysHitResidentEntries)
         });
     }
     // A writer hammering a sibling function must not perturb the
-    // readers (separate slots, shared shards and locks).
+    // readers (a separate function, so a separate domain and lock).
     threads.emplace_back([&]() {
         try {
             for (int i = 0; i < 400; ++i)
@@ -293,16 +280,16 @@ TEST(Stress, ConcurrentExactLookupsAlwaysHitResidentEntries)
 
 TEST(Stress, FederatedMeshUnderConcurrentTraffic)
 {
-    // The cluster tier under TSan: three sharded services in a
+    // The cluster tier under TSan: three two-function services in a
     // full mesh of in-process links, each with an async coordinator
     // (miss forwarding + replication workers), hammered from two
     // threads per node. Exercises the miss handler re-entering a
     // PEER service's lookup/put while that peer's own threads hold
-    // its shard locks, and the drop-oldest queue under overflow.
+    // its domain locks, and the drop-oldest queue under overflow.
     constexpr int kNodes = 3;
     std::vector<std::unique_ptr<PotluckService>> services;
     for (int n = 0; n < kNodes; ++n) {
-        PotluckConfig cfg = stressConfig(4);
+        PotluckConfig cfg = stressConfig();
         cfg.dropout_probability = 0.0;
         services.push_back(std::make_unique<PotluckService>(cfg));
         services.back()->registerKeyType(

@@ -9,7 +9,6 @@
  *   potluckd [--socket PATH] [--max-entries N] [--max-mb N]
  *            [--dropout P] [--ttl-sec N] [--eviction importance|lru|random]
  *            [--reputation] [--stats-sec N] [--stats-format plain|json|prom]
- *            [--shards N] [--parallel-fanout]
  *            [--no-tracing] [--snapshot PATH]
  *            [--log-level debug|info|warn|error]
  *            [--no-recorder] [--trace-dump PATH]
@@ -163,7 +162,6 @@ usage()
            "                [--eviction importance|lru|random]\n"
            "                [--reputation] [--stats-sec N]\n"
            "                [--stats-format plain|json|prom]\n"
-           "                [--shards N] [--parallel-fanout]\n"
            "                [--no-tracing] [--snapshot PATH]\n"
            "                [--log-level debug|info|warn|error]\n"
            "                [--no-recorder] [--trace-dump PATH]\n"
@@ -322,12 +320,6 @@ main(int argc, char **argv)
                 usage();
         } else if (arg == "--reputation") {
             config.enable_reputation = true;
-        } else if (arg == "--shards") {
-            config.num_shards = std::stoull(next());
-            if (config.num_shards == 0)
-                usage();
-        } else if (arg == "--parallel-fanout") {
-            config.parallel_fanout = true;
         } else if (arg == "--stats-sec") {
             stats_sec = std::stoi(next());
         } else if (arg == "--stats-format") {
@@ -546,10 +538,8 @@ main(int argc, char **argv)
                   << (config.max_bytes
                           ? formatBytes(config.max_bytes)
                           : std::string("unbounded"))
-                  << " cache, dropout " << config.dropout_probability
-                  << ", " << service.numShards() << " shard"
-                  << (service.numShards() == 1 ? "" : "s")
-                  << ")" << std::endl;
+                  << " cache, dropout " << config.dropout_probability << ")"
+                  << std::endl;
 
         int elapsed = 0;
         while (!g_stop) {
