@@ -39,11 +39,14 @@
 # present (DESIGN.md §13). Skipped when python3 is unavailable.
 #
 # A tiered-store stage starts a sanitized daemon with --store-dir,
-# writes entries, SIGKILLs it (no snapshot, no sidecar rewrite), and
-# restarts it on the same directory: every pre-kill entry must hit
-# again, served by promotion from the mmap'd cold tier (store_promotions_total
-# in the Prometheus export), with the function registration recovered
-# from the segment log rather than re-registered.
+# writes entries, SIGKILLs it (no sidecar rewrite), and restarts it on
+# the same directory: every pre-kill entry must hit again, served by
+# promotion from the mmap'd cold tier (store_promotions_total in the
+# Prometheus export), with the function registration recovered from
+# the segment log rather than re-registered. It then SIGTERMs that
+# daemon and restarts it once more: the clean close must leave a
+# sidecar that names every entry (the startup banner's "via sidecar"
+# count), and every key must hit again.
 #
 # A chaos stage boots a 2-daemon cluster from the fault-injection
 # build with daemon A's disk rotting bits on append
@@ -472,7 +475,7 @@ SPID=$!
 cleanup_store() {
     kill -9 "$SPID" 2>/dev/null || true
     wait "$SPID" 2>/dev/null || true
-    rm -rf "$STORE_DIR" "$SSOCK"
+    rm -rf "$STORE_DIR" "$STORE_DIR.log" "$SSOCK" "$SSOCK.trace.json"
     cleanup_http
 }
 trap cleanup_store EXIT
@@ -489,7 +492,7 @@ done
 "$CLI" --socket "$SSOCK" store --json | python3 -m json.tool > /dev/null \
     || [ "$(command -v python3)" = "" ]
 
-# SIGKILL: no snapshot, no sidecar rewrite, no msync.
+# SIGKILL: no sidecar rewrite, no msync.
 kill -9 "$SPID"
 wait "$SPID" 2>/dev/null || true
 rm -f "$SSOCK"
@@ -512,6 +515,31 @@ PROMOTED="$("$CLI" --socket "$SSOCK" stats --prom |
     exit 1
 }
 echo "check.sh: store warm-restart smoke OK ($PROMOTED promotions after SIGKILL)"
+
+# Clean restart: SIGTERM closes the store, which re-appends every entry
+# still in RAM and rewrites the sidecar, so the next start finds all of
+# them through the sidecar instead of a log scan.
+kill -TERM "$SPID"
+wait "$SPID" 2>/dev/null || true
+rm -f "$SSOCK"
+SLOG="$STORE_DIR.log"
+"$DAEMON" --socket "$SSOCK" --store-dir "$STORE_DIR" --stats-sec 0 \
+    --dropout 0 > "$SLOG" 2>&1 &
+SPID=$!
+for _ in $(seq 1 50); do
+    [ -S "$SSOCK" ] && break
+    sleep 0.1
+done
+[ -S "$SSOCK" ] || { echo "check.sh: store daemon did not restart after SIGTERM" >&2; exit 1; }
+
+"$CLI" --socket "$SSOCK" mget warmres vec 1,1,1 2,2,2 3,3,3
+VIA_SIDECAR="$(sed -n 's/.*tiered store at .*(\([0-9]*\) via sidecar.*/\1/p' "$SLOG")"
+[ "${VIA_SIDECAR:-0}" -ge 3 ] || {
+    echo "check.sh: clean restart did not recover through the sidecar:" >&2
+    cat "$SLOG" >&2
+    exit 1
+}
+echo "check.sh: store clean-restart smoke OK ($VIA_SIDECAR records via sidecar after SIGTERM)"
 
 # ---- chaos stage: bit-rot -> scrub -> quarantine -> peer repair --------
 # Two fault-build daemons in a mesh. A's store rots one byte of each of

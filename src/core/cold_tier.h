@@ -18,7 +18,7 @@
  * implementations may do file I/O and take their own locks freely.
  * promote() may be called concurrently from many lookup threads;
  * admit()/demote()/forget() are serialized per entry by the service's
- * domain/capacity locking but may interleave across entries.
+ * domain locking but may interleave across entries.
  */
 #ifndef POTLUCK_CORE_COLD_TIER_H
 #define POTLUCK_CORE_COLD_TIER_H
@@ -74,6 +74,8 @@ class ColdTier
      * Capacity eviction hands the victim over instead of destroying
      * it: the tier takes ownership, makes the entry visible to
      * promote() probes, and serves its value from disk from now on.
+     * A victim that has already expired is dropped from the tier
+     * instead, as forget() would.
      */
     virtual void demote(CacheEntry &&entry) = 0;
 

@@ -157,17 +157,6 @@ struct PotluckConfig
     uint32_t ipc_shm_ring_bytes = 1u << 20;
     /// @}
 
-    /// @name Tiered persistent store (src/store; DESIGN.md §12).
-    /// @{
-    /**
-     * Demote a capacity-eviction victim to the cold tier only when it
-     * has at least this much validity left (us); victims closer to
-     * expiry are dropped outright. Irrelevant without an attached
-     * store (`potluckd --store-dir`).
-     */
-    uint64_t demotion_min_ttl_us = 0;
-    /// @}
-
     /// @name Reputation defense (Section 3.5's Credence-style extension).
     /// @{
     bool enable_reputation = false;

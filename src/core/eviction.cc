@@ -54,15 +54,6 @@ RandomEviction::victimPosition(size_t total)
         rng_.uniformInt(0, static_cast<int64_t>(total) - 1));
 }
 
-bool
-DemotionPolicy::shouldDemote(const CacheEntry &entry, uint64_t now_us) const
-{
-    // An expired (or nearly expired) victim cannot repay the disk
-    // write: the cold tier would tombstone it on its next sweep.
-    return entry.expiry_us > now_us &&
-           entry.expiry_us - now_us >= min_remaining_ttl_us_;
-}
-
 std::unique_ptr<EvictionPolicy>
 makeEvictionPolicy(EvictionKind kind, uint64_t seed)
 {

@@ -112,28 +112,6 @@ class RandomEviction : public EvictionPolicy
 std::unique_ptr<EvictionPolicy> makeEvictionPolicy(EvictionKind kind,
                                                    uint64_t seed);
 
-/**
- * Decides whether a capacity-eviction victim is worth DEMOTING to the
- * cold tier (DESIGN.md §12) rather than dropped outright. Demotion is
- * nearly free (the write-through record usually already exists), so
- * the only filter is whether the entry can still earn its disk bytes
- * back: victims about to expire anyway are dropped.
- */
-class DemotionPolicy
-{
-  public:
-    /** @param min_remaining_ttl_us  demote only victims with at least
-     *        this much validity left (0 = any unexpired victim) */
-    explicit DemotionPolicy(uint64_t min_remaining_ttl_us = 0)
-        : min_remaining_ttl_us_(min_remaining_ttl_us)
-    {}
-
-    bool shouldDemote(const CacheEntry &entry, uint64_t now_us) const;
-
-  private:
-    uint64_t min_remaining_ttl_us_;
-};
-
 } // namespace potluck
 
 #endif // POTLUCK_CORE_EVICTION_H

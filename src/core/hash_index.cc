@@ -4,15 +4,6 @@
 
 namespace potluck {
 
-namespace {
-
-/**
- * Bit-identical content comparison. The exact-match index stores and
- * probes the same wire bytes, so memcmp is both faster than the
- * element-wise float compare and stricter in the right way: a NaN
- * element keeps its entry retrievable (x != x would make every probe
- * of such a key miss forever).
- */
 bool
 bitwiseEqual(const FeatureVector &a, const FeatureVector &b)
 {
@@ -21,8 +12,6 @@ bitwiseEqual(const FeatureVector &a, const FeatureVector &b)
     return std::memcmp(a.values().data(), b.values().data(),
                        a.sizeBytes()) == 0;
 }
-
-} // namespace
 
 void
 HashIndex::insert(EntryId id, const FeatureVector &key)

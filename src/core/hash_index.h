@@ -13,6 +13,16 @@
 
 namespace potluck {
 
+/**
+ * The exact-match test of a Hash slot: bit-identical key bytes. The
+ * index stores and probes the same wire bytes, so memcmp is both
+ * faster than the element-wise float compare and stricter in the right
+ * way: a NaN element keeps its entry retrievable (x != x would make
+ * every probe of such a key miss forever). The tiered store's cold
+ * probe of a Hash slot applies the same test.
+ */
+bool bitwiseEqual(const FeatureVector &a, const FeatureVector &b);
+
 /** Exact-match hash index keyed by the FeatureVector content hash. */
 class HashIndex : public Index
 {

@@ -13,7 +13,7 @@ PotluckService::PotluckService(PotluckConfig config, Clock *clock)
     : config_(config), clock_(clock),
       metrics_(std::make_unique<obs::MetricsRegistry>()), table_(config),
       eviction_(makeEvictionPolicy(config.eviction, config.seed)),
-      demotion_policy_(config.demotion_min_ttl_us), rng_(config.seed),
+      rng_(config.seed),
       reputation_(config.reputation_ban_score,
                   config.reputation_min_observations)
 {
@@ -528,10 +528,6 @@ PotluckService::put(const std::string &function, const std::string &key_type,
                 nn_app = nn->app;
             }
         }
-        for (const auto &[type_name, extra_key] : options.extra_keys) {
-            if (type_name != key_type && domain->find(type_name))
-                keys[type_name] = extra_key;
-        }
         if (options.raw_input) {
             for (const auto &[type_name, other] : domain->slots) {
                 if (other->extractor && !keys.count(type_name))
@@ -564,10 +560,6 @@ PotluckService::put(const std::string &function, const std::string &key_type,
     entry.inserted_us = now;
     entry.last_access_us = now;
     entry.expiry_us = now + options.ttl_us.value_or(config_.default_ttl_us);
-
-    if (options.access_frequency)
-        entry.access_frequency = std::max<uint64_t>(1,
-                                                    *options.access_frequency);
 
     const EntryId stored_id = entry.id;
     const size_t stored_bytes = entry.sizeBytes();
@@ -619,7 +611,7 @@ PotluckService::put(const std::string &function, const std::string &key_type,
     // Durable write-through (DESIGN.md §12), outside every lock and
     // BEFORE capacity enforcement, so even an entry evicted by its own
     // put survives a crash. The segment log doubles as a WAL: a
-    // SIGKILL'd daemon restarts warm from it, snapshot or no snapshot.
+    // SIGKILL'd daemon restarts warm from it.
     if (tier)
         tier->admit(write_through);
 
@@ -903,13 +895,13 @@ PotluckService::enforceCapacity()
     // Serialize global eviction: concurrent puts would otherwise both
     // scan all domains and overshoot. No domain lock is held here;
     // domain locks are taken one at a time below.
-    std::lock_guard<std::mutex> cap(capacity_mutex_);
+    std::unique_lock<std::mutex> cap(capacity_mutex_);
     if (!over())
         return;
     POTLUCK_TRACE_SPAN("put.evict", obs_.evict_ns);
     ColdTier *tier = cold_tier_.load(std::memory_order_acquire);
-    uint64_t now = tier ? clock_->nowUs() : 0;
     const std::vector<FunctionDomain *> all = domains();
+    std::vector<CacheEntry> demoted;
 
     while (over()) {
         size_t total = entries_total_.load(std::memory_order_relaxed);
@@ -958,21 +950,17 @@ PotluckService::enforceCapacity()
         }
         if (victim.id == 0)
             continue; // raced away between the scan and the removal
-        // Log the decision, then hand the moved-out victim to the cold
-        // tier (demotion instead of drop, DESIGN.md §12) with no
-        // domain lock held — only capacity_mutex_, which the store
-        // never takes.
         recordEviction(victim);
-        if (!tier)
-            continue;
-        if (demotion_policy_.shouldDemote(victim, now))
-            tier->demote(std::move(victim));
-        else
-            // A victim not worth demoting (expired, or below the TTL
-            // floor) is gone from both tiers: drop its write-through
-            // record too, or the log accumulates dead entries.
-            tier->forget(victim);
+        if (tier)
+            demoted.push_back(std::move(victim));
     }
+    // Demotion instead of drop (DESIGN.md §12), after capacity_mutex_
+    // is released: a demotion may write the segment log, and another
+    // put's eviction must not wait out that disk write. The tier
+    // tombstones a victim that has already expired.
+    cap.unlock();
+    for (CacheEntry &victim : demoted)
+        tier->demote(std::move(victim));
 }
 
 size_t

@@ -86,16 +86,6 @@ struct PutOptions
      * (the cross-key-type propagation of Section 3.7).
      */
     const Image *raw_input = nullptr;
-
-    /**
-     * Precomputed keys for other registered key types (alternative to
-     * raw_input when the caller — or the snapshot loader — already has
-     * them). Merged into the entry before indexing.
-     */
-    std::map<std::string, FeatureVector> extra_keys;
-
-    /** Restore an access count (snapshot loading); 1 when unset. */
-    std::optional<uint64_t> access_frequency;
 };
 
 /** The Potluck approximate-deduplication cache service. */
@@ -386,7 +376,8 @@ class PotluckService
                            uint64_t now);
 
     /** Evict until within capacity. Takes capacity_mutex_, then domain
-     * locks one at a time; call with NO domain lock held. */
+     * locks one at a time; call with NO domain lock held. Victims go
+     * to the cold tier after capacity_mutex_ is released. */
     void enforceCapacity();
 
     /** Refresh cache.entries / cache.bytes from the atomic totals. */
@@ -479,8 +470,6 @@ class PotluckService
      * every hook loads it once per call and never re-reads.
      */
     std::atomic<ColdTier *> cold_tier_{nullptr};
-    /** Filters which eviction victims are worth demoting. */
-    DemotionPolicy demotion_policy_;
 
     Rng rng_; ///< under meta_mutex_
     std::atomic<EntryId> next_id_{1};

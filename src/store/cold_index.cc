@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "store/codec.h"
 #include "util/crc32.h"
 #include "util/fs_faults.h"
 #include "util/logging.h"
@@ -21,63 +22,6 @@ namespace {
 constexpr uint32_t kMagic = 0x504c5349u; // "PLSI"
 constexpr uint32_t kVersion = 1;
 constexpr uint64_t kMaxPayload = 1ULL << 30;
-
-void
-putU32(std::ostream &out, uint32_t v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putU64(std::ostream &out, uint64_t v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putF64(std::ostream &out, double v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putString(std::ostream &out, const std::string &s)
-{
-    putU64(out, s.size());
-    out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool
-getU32(std::istream &in, uint32_t &v)
-{
-    in.read(reinterpret_cast<char *>(&v), sizeof(v));
-    return static_cast<bool>(in);
-}
-
-bool
-getU64(std::istream &in, uint64_t &v)
-{
-    in.read(reinterpret_cast<char *>(&v), sizeof(v));
-    return static_cast<bool>(in);
-}
-
-bool
-getF64(std::istream &in, double &v)
-{
-    in.read(reinterpret_cast<char *>(&v), sizeof(v));
-    return static_cast<bool>(in);
-}
-
-bool
-getString(std::istream &in, std::string &s)
-{
-    uint64_t n = 0;
-    if (!getU64(in, n) || n > (1ULL << 20))
-        return false;
-    s.resize(n);
-    in.read(s.data(), static_cast<std::streamsize>(n));
-    return static_cast<bool>(in);
-}
 
 /** fsync an open path; throws on failure (the save must not lie). */
 void
@@ -119,17 +63,10 @@ saveSidecar(const SidecarImage &image, const std::string &path)
             POTLUCK_FATAL("fault injection: sidecar rewrite refused");
     }
 #endif
-    std::ostringstream body;
+    std::string body;
     putU64(body, image.registrations.size());
-    for (const SidecarRegistration &reg : image.registrations) {
-        putString(body, reg.function);
-        putString(body, reg.config.name);
-        putU32(body, static_cast<uint32_t>(reg.config.metric));
-        putU32(body, static_cast<uint32_t>(reg.config.index_kind));
-        putU32(body, static_cast<uint32_t>(reg.config.lsh_tables));
-        putU32(body, static_cast<uint32_t>(reg.config.lsh_projections));
-        putF64(body, reg.config.lsh_bucket_width);
-    }
+    for (const SidecarRegistration &reg : image.registrations)
+        putRegistration(body, reg.function, reg.config);
     putU64(body, image.segments.size());
     for (const SidecarSegment &seg : image.segments) {
         putU64(body, seg.generation);
@@ -141,19 +78,19 @@ saveSidecar(const SidecarImage &image, const std::string &path)
         putU64(body, e.generation);
         putU64(body, e.offset);
     }
-    const std::string payload = body.str();
+    std::string file;
+    putU32(file, kMagic);
+    putU32(file, kVersion);
+    putU64(file, body.size());
+    file += body;
+    putU32(file, crc32(body.data(), body.size()));
 
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             POTLUCK_FATAL("cannot open sidecar temp file " << tmp);
-        putU32(out, kMagic);
-        putU32(out, kVersion);
-        putU64(out, payload.size());
-        out.write(payload.data(),
-                  static_cast<std::streamsize>(payload.size()));
-        putU32(out, crc32(payload.data(), payload.size()));
+        out.write(file.data(), static_cast<std::streamsize>(file.size()));
         out.flush();
         if (!out) {
             out.close();
@@ -183,60 +120,51 @@ loadSidecar(SidecarImage &image, const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return false;
-    uint32_t magic = 0, version = 0;
-    if (!getU32(in, magic) || magic != kMagic)
-        return false;
-    if (!getU32(in, version) || version != kVersion)
-        return false;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string file = bytes.str();
+    Reader head{reinterpret_cast<const uint8_t *>(file.data()), file.size()};
+    uint32_t magic = 0, version = 0, stored = 0;
     uint64_t len = 0;
-    if (!getU64(in, len) || len > kMaxPayload)
+    if (!head.u32(magic) || magic != kMagic)
         return false;
-    std::string payload(len, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(len));
-    if (!in)
+    if (!head.u32(version) || version != kVersion)
         return false;
-    uint32_t stored = 0;
-    if (!getU32(in, stored) ||
-        crc32(payload.data(), payload.size()) != stored) {
+    if (!head.u64(len) || len > kMaxPayload || head.pos + len > head.n)
+        return false;
+    const uint8_t *payload = head.p + head.pos;
+    head.pos += static_cast<size_t>(len);
+    if (!head.u32(stored) ||
+        crc32(payload, static_cast<size_t>(len)) != stored) {
         return false;
     }
 
-    std::istringstream body(payload);
+    Reader body{payload, static_cast<size_t>(len)};
     uint64_t nregs = 0;
-    if (!getU64(body, nregs) || nregs > 4096)
+    if (!body.u64(nregs) || nregs > 4096)
         return false;
     for (uint64_t i = 0; i < nregs; ++i) {
         SidecarRegistration reg;
-        uint32_t metric = 0, kind = 0, tables = 0, projections = 0;
-        if (!getString(body, reg.function) ||
-            !getString(body, reg.config.name) || !getU32(body, metric) ||
-            !getU32(body, kind) || !getU32(body, tables) ||
-            !getU32(body, projections) ||
-            !getF64(body, reg.config.lsh_bucket_width)) {
+        if (!getRegistration(body, reg.function, reg.config))
             return false;
-        }
-        reg.config.metric = static_cast<Metric>(metric);
-        reg.config.index_kind = static_cast<IndexKind>(kind);
-        reg.config.lsh_tables = static_cast<int>(tables);
-        reg.config.lsh_projections = static_cast<int>(projections);
         image.registrations.push_back(std::move(reg));
     }
     uint64_t nsegs = 0;
-    if (!getU64(body, nsegs) || nsegs > (1ULL << 20))
+    if (!body.u64(nsegs) || nsegs > (1ULL << 20))
         return false;
     for (uint64_t i = 0; i < nsegs; ++i) {
         SidecarSegment seg;
-        if (!getU64(body, seg.generation) || !getU64(body, seg.indexed_len))
+        if (!body.u64(seg.generation) || !body.u64(seg.indexed_len))
             return false;
         image.segments.push_back(seg);
     }
     uint64_t nentries = 0;
-    if (!getU64(body, nentries) || nentries > (1ULL << 32))
+    if (!body.u64(nentries) || nentries > (1ULL << 32))
         return false;
     for (uint64_t i = 0; i < nentries; ++i) {
         SidecarEntry e;
-        if (!getU64(body, e.key_hash) || !getU64(body, e.generation) ||
-            !getU64(body, e.offset)) {
+        if (!body.u64(e.key_hash) || !body.u64(e.generation) ||
+            !body.u64(e.offset)) {
             return false;
         }
         image.entries.push_back(e);

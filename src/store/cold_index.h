@@ -13,11 +13,11 @@
  * faults them in), and replay just the log tail written after the
  * last rewrite.
  *
- * Crash safety is PR 2's snapshot idiom verbatim: write to a temp
- * file, fsync, atomically rename over the target, fsync the
- * directory. A SIGKILL at any point leaves either the previous
- * sidecar or the new one; a missing or corrupt sidecar merely forces
- * a full log scan.
+ * Crash safety: write to a temp file, fsync, atomically rename over
+ * the target, fsync the directory. A SIGKILL at any point leaves
+ * either the previous sidecar or the new one; a missing or corrupt
+ * sidecar merely forces a full log scan. The byte layout goes through
+ * the store's one codec (store/codec.h).
  */
 #ifndef POTLUCK_STORE_COLD_INDEX_H
 #define POTLUCK_STORE_COLD_INDEX_H

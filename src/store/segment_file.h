@@ -1,10 +1,10 @@
 /**
  * @file
  * SegmentFile: one append-only, mmap'd log file of the tiered store
- * (DESIGN.md §12). Records are CRC32-framed exactly like PR 2's
- * snapshot blocks — [u64 len][payload][u32 crc] — appended by memcpy
- * into a fixed-capacity MAP_SHARED mapping, so the page cache carries
- * them across a SIGKILL and msync() makes them power-loss durable.
+ * (DESIGN.md §12). Records are CRC32-framed — [u64 len][payload]
+ * [u32 crc] — and appended by memcpy into a fixed-capacity MAP_SHARED
+ * mapping, so the page cache carries them across a SIGKILL and msync()
+ * makes them power-loss durable.
  *
  * Segments are named seg-<generation>.log with a monotonically
  * increasing generation: the store appends to the highest generation
@@ -18,8 +18,8 @@
  * the bytes past the last durable record are zero. scanFrom() stops
  * at a zero length word (clean end) or a frame whose CRC does not
  * match (a record torn by the crash); appends resume over the torn
- * bytes. A record is therefore either completely durable or invisible
- * — the same all-or-nothing guarantee as snapshot records.
+ * bytes. A record is therefore either completely durable or
+ * invisible.
  *
  * Not internally synchronized: TieredStore serializes all access
  * under its own mutex.

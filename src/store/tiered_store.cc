@@ -12,6 +12,8 @@
 #include <set>
 #include <sstream>
 
+#include "core/hash_index.h"
+#include "store/codec.h"
 #include "util/logging.h"
 
 namespace potluck::store {
@@ -44,75 +46,6 @@ keySignature(const FeatureVector &key)
 {
     return fnvMix(kFnvOffset, key.values().data(), key.sizeBytes());
 }
-
-/// @name Append-to-string binary encoding (record payloads).
-/// @{
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putU64(out, s.size());
-    out.append(s);
-}
-/// @}
-
-/** Bounds-checked cursor over a record payload. */
-struct Reader
-{
-    const uint8_t *p;
-    size_t n;
-    size_t pos = 0;
-
-    bool
-    raw(void *dst, size_t k)
-    {
-        if (pos + k > n)
-            return false;
-        std::memcpy(dst, p + pos, k);
-        pos += k;
-        return true;
-    }
-
-    bool u8(uint8_t &v) { return raw(&v, sizeof(v)); }
-    bool u32(uint32_t &v) { return raw(&v, sizeof(v)); }
-    bool u64(uint64_t &v) { return raw(&v, sizeof(v)); }
-    bool f64(double &v) { return raw(&v, sizeof(v)); }
-
-    bool
-    str(std::string &s, size_t max = 1ull << 20)
-    {
-        uint64_t k = 0;
-        if (!u64(k) || k > max || pos + k > n)
-            return false;
-        s.assign(reinterpret_cast<const char *>(p + pos),
-                 static_cast<size_t>(k));
-        pos += static_cast<size_t>(k);
-        return true;
-    }
-};
 
 std::string
 segmentPath(const std::string &dir, uint64_t gen)
@@ -179,30 +112,8 @@ encodeRegistration(const SidecarRegistration &reg)
 {
     std::string payload;
     putU8(payload, kRecRegistration);
-    putString(payload, reg.function);
-    putString(payload, reg.config.name);
-    putU32(payload, static_cast<uint32_t>(reg.config.metric));
-    putU32(payload, static_cast<uint32_t>(reg.config.index_kind));
-    putU32(payload, static_cast<uint32_t>(reg.config.lsh_tables));
-    putU32(payload, static_cast<uint32_t>(reg.config.lsh_projections));
-    putF64(payload, reg.config.lsh_bucket_width);
+    putRegistration(payload, reg.function, reg.config);
     return payload;
-}
-
-bool
-decodeRegistration(Reader &in, SidecarRegistration &reg)
-{
-    uint32_t metric = 0, kind = 0, tables = 0, projections = 0;
-    if (!in.str(reg.function) || !in.str(reg.config.name) ||
-        !in.u32(metric) || !in.u32(kind) || !in.u32(tables) ||
-        !in.u32(projections) || !in.f64(reg.config.lsh_bucket_width)) {
-        return false;
-    }
-    reg.config.metric = static_cast<Metric>(metric);
-    reg.config.index_kind = static_cast<IndexKind>(kind);
-    reg.config.lsh_tables = static_cast<int>(tables);
-    reg.config.lsh_projections = static_cast<int>(projections);
-    return true;
 }
 
 } // namespace
@@ -413,7 +324,7 @@ TieredStore::recover()
     if (recovery_.sidecar_valid) {
         for (SidecarRegistration &reg : image.registrations) {
             SlotKey slot{reg.function, reg.config.name};
-            if (slot_metrics_.emplace(slot, reg.config.metric).second)
+            if (slot_configs_.emplace(slot, reg.config).second)
                 registrations_.push_back(std::move(reg));
         }
         for (const SidecarSegment &seg : image.segments) {
@@ -473,13 +384,11 @@ TieredStore::recover()
                         records_.erase(hash);
                 } else if (type == kRecRegistration) {
                     SidecarRegistration reg;
-                    if (!decodeRegistration(in, reg))
+                    if (!getRegistration(in, reg.function, reg.config))
                         return;
                     SlotKey slot{reg.function, reg.config.name};
-                    if (slot_metrics_.emplace(slot, reg.config.metric)
-                            .second) {
+                    if (slot_configs_.emplace(slot, reg.config).second)
                         registrations_.push_back(std::move(reg));
-                    }
                 }
             });
         if (report.torn_tail)
@@ -583,6 +492,24 @@ void
 TieredStore::closeImpl(bool dirty)
 {
     stopThread();
+    if (!dirty && service_) {
+        // What a clean shutdown owes the next start: a fresh record of
+        // every entry still in RAM, carrying its remaining TTL and hit
+        // count as of now, and a tombstone for one that expired since
+        // its last append. The store mutex is taken per entry, under
+        // the entry's domain lock (a lock edge DESIGN.md §12 names).
+        const uint64_t now = service_->nowUs();
+        service_->forEachEntry([&](const CacheEntry &entry) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (closed_)
+                return;
+            const uint64_t hash = contentIdentity(entry);
+            if (entry.expiry_us <= now)
+                dropRecord(hash, "expired");
+            else
+                writeEntryRecord(entry, hash, /*resident=*/true, now);
+        });
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (closed_)
@@ -786,9 +713,8 @@ TieredStore::rotateSegment()
 
 void
 TieredStore::writeEntryRecord(const CacheEntry &entry, uint64_t key_hash,
-                              bool resident)
+                              bool resident, uint64_t now)
 {
-    const uint64_t now = service_ ? service_->nowUs() : 0;
     const uint64_t remaining =
         entry.expiry_us > now ? entry.expiry_us - now : 0;
     if (remaining == 0)
@@ -963,7 +889,8 @@ TieredStore::admit(const CacheEntry &entry)
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_)
         return;
-    writeEntryRecord(entry, contentIdentity(entry), /*resident=*/true);
+    writeEntryRecord(entry, contentIdentity(entry), /*resident=*/true,
+                     service_ ? service_->nowUs() : 0);
     if (obs_)
         obs_->admits->inc();
 }
@@ -995,7 +922,7 @@ TieredStore::demote(CacheEntry &&entry)
         // Hits since the last record (or no record, e.g. it was
         // dropped as oversize garbage): refresh so importance survives
         // the tier crossing.
-        writeEntryRecord(entry, hash, /*resident=*/false);
+        writeEntryRecord(entry, hash, /*resident=*/false, now);
     }
     if (obs_)
         obs_->demotions->inc();
@@ -1021,9 +948,11 @@ TieredStore::promote(const std::string &function,
         obs_->probes->inc();
     const uint64_t now = service_ ? service_->nowUs() : 0;
     Metric metric = Metric::L2;
-    if (auto m = slot_metrics_.find({function, key_type});
-        m != slot_metrics_.end()) {
-        metric = m->second;
+    bool exact = false; // a Hash slot: bitwise-equal keys only
+    if (auto c = slot_configs_.find({function, key_type});
+        c != slot_configs_.end()) {
+        metric = c->second.metric;
+        exact = c->second.index_kind == IndexKind::Hash;
     }
     while (true) {
         auto slot = slots_.find({function, key_type});
@@ -1041,7 +970,9 @@ TieredStore::promote(const std::string &function,
             auto k = meta.keys.find(key_type);
             if (k == meta.keys.end() || k->second.size() != key.size())
                 return;
-            const double d = distance(key, k->second, metric);
+            if (exact && !bitwiseEqual(key, k->second))
+                return;
+            const double d = exact ? 0.0 : distance(key, k->second, metric);
             if (d <= threshold && (best_dist < 0 || d < best_dist)) {
                 best_dist = d;
                 best_hash = hash;
@@ -1057,8 +988,9 @@ TieredStore::promote(const std::string &function,
             for (uint64_t hash : bucket->second)
                 consider(hash);
         }
-        if (best_dist < 0) {
-            // Only an approximate match pays the full slot scan.
+        if (best_dist < 0 && !exact) {
+            // Only an approximate match pays the full slot scan; a Hash
+            // slot serves none, in RAM or here.
             for (const auto &[bucket_sig, hashes] : slot->second) {
                 if (bucket_sig == sig)
                     continue;
@@ -1135,7 +1067,7 @@ TieredStore::noteRegistration(const std::string &function,
     if (closed_)
         return;
     SlotKey slot{function, cfg.name};
-    if (!slot_metrics_.emplace(slot, cfg.metric).second)
+    if (!slot_configs_.emplace(slot, cfg).second)
         return;
     SidecarRegistration reg;
     reg.function = function;

@@ -10,7 +10,9 @@
  * Record model: every put() is written through as an Entry record
  * (keys + value + importance inputs), so the segment log doubles as a
  * write-ahead log — a SIGKILL'd daemon restarts warm from the log
- * alone, snapshot or no snapshot. Demotion does not write (the record
+ * alone. A clean close() re-appends every entry still in RAM, so a
+ * SIGTERM'd daemon restarts with each entry's hit count and remaining
+ * TTL as of shutdown. Demotion does not write (the record
  * already exists unless the entry's hit count changed); it flips the
  * record's residency so cold probes see it. A record whose content
  * identity (FNV-1a over function + key types + key bytes) is written
@@ -20,10 +22,10 @@
  * key type) slots so a restarted daemon rebuilds its slots before any
  * application reconnects.
  *
- * TTL across restarts is PR 2's snapshot rule: records carry the TTL
- * *remaining* at append time (the in-process clock's epoch does not
- * survive a restart); attach() converts remaining back to absolute
- * expiry on the service clock.
+ * TTL across restarts: records carry the TTL *remaining* at append
+ * time (the in-process clock's epoch does not survive a restart);
+ * attach() converts remaining back to absolute expiry on the service
+ * clock.
  *
  * Laziness: recovery parses record *headers* only — key vectors fault
  * in as the metas are built, value pages stay untouched, and the
@@ -34,8 +36,11 @@
  *
  * Concurrency: one internal mutex guards all store state. The service
  * calls every ColdTier hook with NO service locks held (see
- * cold_tier.h), and the store never calls back into the service, so
- * there is no lock-order edge between the two — the maintenance
+ * cold_tier.h), and the store never calls into the service while
+ * holding its mutex. Lock-order edges run only the other way, both
+ * from the service's own visitors: attach() notes each registration
+ * under the service's table lock, and close() re-appends each RAM
+ * entry under its function's shared domain lock. The maintenance
  * thread (expiry sweep, cold-capacity eviction, compaction, sidecar
  * rewrite) contends only on the store mutex.
  */
@@ -134,8 +139,10 @@ class TieredStore : public ColdTier
     void attach(PotluckService &service);
 
     /**
-     * Clean shutdown: stop the maintenance thread, rewrite the
-     * sidecar, msync every segment, and detach from the service.
+     * Clean shutdown: stop the maintenance thread, re-append the
+     * record of every entry still in RAM (its remaining TTL and hit
+     * count as of now; a tombstone if it has expired), msync every
+     * segment, rewrite the sidecar, and detach from the service.
      * Idempotent.
      */
     void close();
@@ -268,10 +275,11 @@ class TieredStore : public ColdTier
     bool decodeEntry(const uint8_t *payload, size_t n, RecordMeta &meta,
                      uint64_t &key_hash) const;
 
-    /** Append an Entry record for `entry`; replaces any previous
-     * record with the same identity. Caller holds mutex_. */
+    /** Append an Entry record for `entry` with its TTL remaining at
+     * `now`; replaces any previous record with the same identity.
+     * Caller holds mutex_. */
     void writeEntryRecord(const CacheEntry &entry, uint64_t key_hash,
-                          bool resident);
+                          bool resident, uint64_t now);
     /** Tombstone + forget a record. Caller holds mutex_. */
     void dropRecord(uint64_t key_hash, const char *why);
     size_t enforceColdCapacityLocked();
@@ -315,7 +323,9 @@ class TieredStore : public ColdTier
     std::map<SlotKey, SigBuckets> slots_;
     /** Persisted registrations, in noteRegistration order. */
     std::vector<SidecarRegistration> registrations_;
-    std::map<SlotKey, Metric> slot_metrics_;
+    /** Each persisted slot's settings: its metric and, for a Hash
+     * slot, the exact-only cold probe. */
+    std::map<SlotKey, KeyTypeConfig> slot_configs_;
 
     size_t cold_bytes_ = 0; ///< frame bytes of probe-visible records
     size_t cold_count_ = 0; ///< probe-visible record count (gauge)

@@ -1,9 +1,8 @@
 /**
  * @file
  * CRC-32 (ISO-HDLC, polynomial 0xEDB88320) over byte ranges — the
- * per-record checksum of the snapshot format. Table-driven, one byte
- * per step; fast enough for persistence (snapshots are written once
- * per shutdown, not on the request path).
+ * frame checksum of the tiered store's segment records and sidecar.
+ * Table-driven, one byte per step.
  */
 #ifndef POTLUCK_UTIL_CRC32_H
 #define POTLUCK_UTIL_CRC32_H

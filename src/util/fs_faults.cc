@@ -82,16 +82,6 @@ FsFaultInjector::shouldFailSidecar()
     return true;
 }
 
-bool
-FsFaultInjector::shouldFailSnapshot()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!rng_.bernoulli(cfg_.snapshot_error))
-        return false;
-    ++counts_.snapshot_errors;
-    return true;
-}
-
 FsFaultInjector::Counts
 FsFaultInjector::counts() const
 {
@@ -140,8 +130,6 @@ FsFaultInjector::installFromEnv()
             cfg.open_error = std::stod(val);
         else if (key == "sidecar_error")
             cfg.sidecar_error = std::stod(val);
-        else if (key == "snapshot_error")
-            cfg.snapshot_error = std::stod(val);
         else if (key == "max_bit_flips")
             cfg.max_bit_flips = std::stoull(val);
         else

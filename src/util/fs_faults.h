@@ -5,8 +5,8 @@
  * FaultInjector (src/ipc/fault_injection.h).
  *
  * Compiled only when the build defines POTLUCK_FAULT_INJECTION; in a
- * regular build every hook in SegmentFile / ColdIndex / persistence
- * compiles away to nothing, so release binaries pay zero cost.
+ * regular build every hook in SegmentFile / ColdIndex compiles away to
+ * nothing, so release binaries pay zero cost.
  *
  * All randomness flows from the seeded Rng in the injector's Config,
  * so a failing chaos run reproduces bit-identically.
@@ -30,8 +30,8 @@
  *                  which chaos tests use to corrupt only the first N
  *                  writes and leave repair appends clean.
  *  - open_error:   creating/mapping a new segment file fails.
- *  - sidecar_error / snapshot_error: the sidecar or snapshot rewrite
- *                  fails before naming any bytes durable.
+ *  - sidecar_error: the sidecar rewrite fails before naming any
+ *                  bytes durable.
  *
  * The daemon installs an injector from the POTLUCK_FS_FAULTS
  * environment variable (comma-separated key=value pairs matching the
@@ -64,7 +64,6 @@ class FsFaultInjector
         double bit_flip = 0.0;       ///< rot one byte of the payload
         double open_error = 0.0;     ///< new segment open/map fails
         double sidecar_error = 0.0;  ///< sidecar rewrite fails
-        double snapshot_error = 0.0; ///< snapshot save fails
         uint64_t max_bit_flips = 0;  ///< cap on rotted frames; 0 = none
     };
 
@@ -78,7 +77,6 @@ class FsFaultInjector
         uint64_t bit_flips = 0;
         uint64_t open_errors = 0;
         uint64_t sidecar_errors = 0;
-        uint64_t snapshot_errors = 0;
     };
 
     explicit FsFaultInjector(const Config &config)
@@ -110,8 +108,6 @@ class FsFaultInjector
     bool shouldFailOpen();
     /** @return true if this sidecar rewrite must fail. */
     bool shouldFailSidecar();
-    /** @return true if this snapshot save must fail. */
-    bool shouldFailSnapshot();
 
     Counts counts() const;
 

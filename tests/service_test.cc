@@ -755,5 +755,68 @@ TEST(DomainLocking, SameFunctionLookupDoesNotWaitForExtraction)
     expectLookupDuringExtraction("a");
 }
 
+/** A cold tier whose first demote() blocks until released. */
+class BlockingDemotionTier : public ColdTier
+{
+  public:
+    void admit(const CacheEntry &) override {}
+
+    void
+    demote(CacheEntry &&) override
+    {
+        if (demotions.fetch_add(1) == 0) {
+            entered.set_value();
+            release.wait();
+        }
+    }
+
+    bool
+    promote(const std::string &, const std::string &, const FeatureVector &,
+            double, ColdPromotion &) override
+    {
+        return false;
+    }
+
+    void forget(const CacheEntry &) override {}
+    void noteRegistration(const std::string &,
+                          const KeyTypeConfig &) override
+    {}
+
+    std::atomic<int> demotions{0};
+    std::promise<void> entered;
+    std::latch release{1};
+};
+
+TEST(DomainLocking, EvictionDoesNotWaitForAnotherPutsDemotion)
+{
+    PotluckConfig cfg = quietConfig();
+    cfg.max_entries = 2;
+    PotluckService service(cfg);
+    service.registerKeyType("a", kt());
+    service.registerKeyType("b", kt());
+    BlockingDemotionTier tier;
+    service.setColdTier(&tier);
+    service.put("a", "vec", key1d(1.0f), encodeInt(1), {});
+    service.put("b", "vec", key1d(1.0f), encodeInt(2), {});
+
+    // Each of these puts needs an eviction; the first one's demotion
+    // blocks in the tier.
+    std::thread first(
+        [&] { service.put("a", "vec", key1d(2.0f), encodeInt(3), {}); });
+    tier.entered.get_future().wait();
+    auto second = std::async(std::launch::async, [&] {
+        service.put("b", "vec", key1d(2.0f), encodeInt(4), {});
+    });
+    bool returned = second.wait_for(std::chrono::seconds(1)) ==
+                    std::future_status::ready;
+    tier.release.count_down();
+    first.join();
+    second.get();
+    service.setColdTier(nullptr);
+    EXPECT_TRUE(returned) << "an eviction waited for another put's demotion";
+    EXPECT_EQ(tier.demotions.load(), 2);
+    EXPECT_EQ(service.numEntries(), 2u);
+}
+
 } // namespace
 } // namespace potluck

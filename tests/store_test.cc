@@ -370,6 +370,38 @@ TEST(TieredStoreTest, ExpiredVictimIsNotDemoted)
     store.close();
 }
 
+TEST(TieredStoreTest, HashSlotColdProbeMatchesOnlyIdenticalKeys)
+{
+    TempDir dir("hashexact");
+    PotluckConfig config = cfg();
+    config.max_entries = 1;
+    VirtualClock clock;
+    PotluckService service(config, &clock);
+    TieredStore store(storeCfg(dir.path));
+    store.attach(service);
+
+    service.registerKeyType("f", KeyTypeConfig{"vec", Metric::L2,
+                                               IndexKind::Hash});
+    service.setThreshold("f", "vec", 5.0);
+    service.put("f", "vec", FeatureVector({1.0f, 0.0f}),
+                encodeString("one"), {});
+    service.put("f", "vec", FeatureVector({9.0f, 0.0f}),
+                encodeString("nine"), {}); // demotes (1, 0)
+    ASSERT_EQ(store.coldEntries(), 1u);
+
+    // The RAM Hash index serves only identical keys, whatever the
+    // threshold; a store attached behind it must not change that.
+    EXPECT_FALSE(
+        service.lookup("app", "f", "vec", FeatureVector({1.5f, 0.0f})).hit);
+    EXPECT_EQ(store.coldEntries(), 1u);
+    LookupResult r =
+        service.lookup("app", "f", "vec", FeatureVector({1.0f, 0.0f}));
+    ASSERT_TRUE(r.hit);
+    EXPECT_EQ(decodeString(r.value), "one");
+
+    store.close();
+}
+
 TEST(TieredStoreTest, ColdCapacityDropsLeastImportant)
 {
     TempDir dir("coldcap");

@@ -3,9 +3,10 @@
  * Warm-restart tests for the tiered store (DESIGN.md §12): a daemon
  * that dies without any shutdown path — closeDirty() is the in-process
  * stand-in for SIGKILL — must come back serving what it had, modulo
- * the torn tail of the active segment. Also covers the
- * sidecar-accelerated clean-restart path, lazy value verification of
- * corrupted records, and tombstone durability.
+ * the torn tail of the active segment. Also covers the clean-restart
+ * path — close() records each RAM entry's remaining TTL and hit count,
+ * and the next start comes back through the sidecar — lazy value
+ * verification of corrupted records, and tombstone durability.
  */
 #include <gtest/gtest.h>
 
@@ -14,9 +15,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "core/potluck_service.h"
+#include "features/downsample.h"
 #include "store/segment_file.h"
 #include "store/tiered_store.h"
 
@@ -59,10 +62,10 @@ cfg(size_t max_entries = 10000)
 }
 
 KeyTypeConfig
-kt()
+kt(const char *name = "vec")
 {
-    return KeyTypeConfig{"vec", Metric::L2, IndexKind::Linear, nullptr,
-                         8,     6,          4.0};
+    return KeyTypeConfig{name, Metric::L2, IndexKind::Linear, nullptr,
+                         8,    6,          4.0};
 }
 
 StoreConfig
@@ -148,10 +151,21 @@ TEST(WarmRestart, CleanCloseRestartsThroughSidecar)
     TempDir dir("sidecar");
     VirtualClock clock;
     {
+        // A store that holds only a registration.
         PotluckService service(cfg(), &clock);
         TieredStore store(storeCfg(dir.path));
         store.attach(service);
         service.registerKeyType("f", kt());
+        store.close();
+    }
+    {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        EXPECT_TRUE(store.recovery().sidecar_valid);
+        EXPECT_EQ(store.recovery().registrations, 1u);
+        // The slot came back registered: a lookup misses, not throws.
+        EXPECT_FALSE(service.lookup("app", "f", "vec", keyOf(0)).hit);
         for (int i = 0; i < 20; ++i) {
             service.put("f", "vec", keyOf(i),
                         encodeString("v" + std::to_string(i)), {});
@@ -168,6 +182,125 @@ TEST(WarmRestart, CleanCloseRestartsThroughSidecar)
     for (int i = 0; i < 20; ++i) {
         LookupResult r = service.lookup("app", "f", "vec", keyOf(i));
         ASSERT_TRUE(r.hit) << "key " << i;
+    }
+}
+
+TEST(WarmRestart, CleanCloseCarriesRemainingTtlToANewClock)
+{
+    TempDir dir("ttl");
+    VirtualClock clock;
+    {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        service.registerKeyType("f", kt());
+        PutOptions opts;
+        opts.ttl_us = 1000;
+        service.put("f", "vec", keyOf(1), encodeString("v"), opts);
+        clock.advanceUs(400); // 600 us of validity left
+        store.close();
+    }
+
+    VirtualClock fresh(50); // a different epoch, as after a reboot
+    PotluckService service(cfg(), &fresh);
+    TieredStore store(storeCfg(dir.path));
+    store.attach(service);
+    EXPECT_TRUE(service.lookup("app", "f", "vec", keyOf(1)).hit);
+    fresh.advanceUs(700); // past the remaining 600 us
+    EXPECT_FALSE(service.lookup("app", "f", "vec", keyOf(1)).hit);
+    EXPECT_EQ(service.sweepExpired(), 1u);
+}
+
+TEST(WarmRestart, CleanCloseCarriesHitCountAndOverhead)
+{
+    TempDir dir("importance");
+    VirtualClock clock;
+    {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        service.registerKeyType("f", kt());
+        PutOptions costly;
+        costly.compute_overhead_us = 5e6;
+        service.put("f", "vec", keyOf(1), encodeString("v"), costly);
+        for (int i = 0; i < 4; ++i)
+            ASSERT_TRUE(service.lookup("app", "f", "vec", keyOf(1)).hit);
+        store.close();
+    }
+
+    PotluckService service(cfg(), &clock);
+    TieredStore store(storeCfg(dir.path));
+    store.attach(service);
+    ASSERT_TRUE(service.lookup("app", "f", "vec", keyOf(1)).hit);
+    size_t entries = 0;
+    service.forEachEntry([&](const CacheEntry &entry) {
+        ++entries;
+        EXPECT_DOUBLE_EQ(entry.compute_overhead_us, 5e6);
+        // The put, 4 hits before the close, and the promoting hit.
+        EXPECT_EQ(entry.access_frequency.load(), 6u);
+    });
+    EXPECT_EQ(entries, 1u);
+}
+
+TEST(WarmRestart, CleanCloseDropsWhatExpiredInRam)
+{
+    TempDir dir("expired");
+    VirtualClock clock;
+    {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        service.registerKeyType("f", kt());
+        PutOptions fleeting;
+        fleeting.ttl_us = 10;
+        service.put("f", "vec", keyOf(1), encodeString("gone"), fleeting);
+        service.put("f", "vec", keyOf(2), encodeString("kept"), {});
+        clock.advanceUs(100); // keyOf(1) expires in RAM, never swept
+        store.close();
+    }
+
+    PotluckService service(cfg(), &clock);
+    TieredStore store(storeCfg(dir.path));
+    store.attach(service);
+    EXPECT_EQ(store.recovery().records, 1u);
+    EXPECT_FALSE(service.lookup("app", "f", "vec", keyOf(1)).hit);
+    EXPECT_TRUE(service.lookup("app", "f", "vec", keyOf(2)).hit);
+}
+
+TEST(WarmRestart, MultiKeyEntryHitsUnderEveryKeyType)
+{
+    TempDir dir("multikey");
+    VirtualClock clock;
+    auto ex8 = std::make_shared<DownsampleExtractor>(8, 8, true);
+    auto ex4 = std::make_shared<DownsampleExtractor>(4, 4, true);
+    Image img(16, 16, 3, 77);
+    {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        service.registerKeyType("f", kt("k8"), ex8);
+        service.registerKeyType("f", kt("k4"), ex4);
+        PutOptions options;
+        options.raw_input = &img;
+        service.put("f", "k8", ex8->extract(img), encodeInt(7), options);
+        store.close();
+    }
+
+    // Each restart promotes the entry through a different slot's cold
+    // probe; the promoted entry then answers under every key type from
+    // RAM, and the next clean close records it again.
+    const std::map<std::string, FeatureVector> keys = {
+        {"k8", ex8->extract(img)}, {"k4", ex4->extract(img)}};
+    for (const char *first : {"k8", "k4"}) {
+        PotluckService service(cfg(), &clock);
+        TieredStore store(storeCfg(dir.path));
+        store.attach(service);
+        LookupResult cold = service.lookup("a", "f", first, keys.at(first));
+        ASSERT_TRUE(cold.hit) << first;
+        EXPECT_EQ(decodeInt(cold.value), 7);
+        for (const auto &[type, key] : keys)
+            EXPECT_TRUE(service.lookup("a", "f", type, key).hit) << type;
+        EXPECT_EQ(service.numEntries(), 1u);
     }
 }
 

@@ -9,7 +9,7 @@
  *   potluckd [--socket PATH] [--max-entries N] [--max-mb N]
  *            [--dropout P] [--ttl-sec N] [--eviction importance|lru|random]
  *            [--reputation] [--stats-sec N] [--stats-format plain|json|prom]
- *            [--no-tracing] [--snapshot PATH]
+ *            [--no-tracing]
  *            [--log-level debug|info|warn|error]
  *            [--no-recorder] [--trace-dump PATH]
  *            [--trace-slo-us N] [--trace-sample-prob P]
@@ -35,18 +35,16 @@
  * names leak app/function identifiers, so wider exposure is an
  * explicit operator decision.
  *
- * With --snapshot, the cache is restored from PATH at startup (if the
- * file exists) and saved back on clean shutdown — the "secondary flash
- * storage" layer of the paper's architecture figure.
- *
- * With --store-dir, the daemon additionally runs the tiered persistent
- * store (DESIGN.md §12): every put is written through to an mmap'd
+ * With --store-dir, the daemon runs the tiered persistent store
+ * (DESIGN.md §12), the "secondary flash storage" layer of the paper's
+ * architecture figure: every put is written through to an mmap'd
  * segment log under DIR, capacity evictions demote their victim to
  * that cold tier instead of dropping it, and cold entries are promoted
  * back into RAM when a lookup lands within the similarity threshold.
- * After a crash — even SIGKILL — a restart with the same DIR comes
- * back warm. --cold-capacity-mb bounds the disk footprint (0 =
- * unbounded); --snapshot remains independent and optional. A
+ * A restart with the same DIR comes back warm: after SIGTERM with
+ * every entry's hit count and remaining TTL as of shutdown, after a
+ * crash — even SIGKILL — with what the log holds.
+ * --cold-capacity-mb bounds the disk footprint (0 = unbounded). A
  * background scrub CRC-verifies cold frames at --scrub-rate-mb MB/s
  * (default 4; 0 disables) and quarantines bit-rotted records: they
  * stop being served, and when the daemon is clustered they are
@@ -83,7 +81,6 @@
 
 #include "cluster/coordinator.h"
 #include "core/cache_manager.h"
-#include "core/persistence.h"
 #include "core/potluck_service.h"
 #include "ipc/fault_injection.h"
 #include "ipc/server.h"
@@ -162,7 +159,7 @@ usage()
            "                [--eviction importance|lru|random]\n"
            "                [--reputation] [--stats-sec N]\n"
            "                [--stats-format plain|json|prom]\n"
-           "                [--no-tracing] [--snapshot PATH]\n"
+           "                [--no-tracing]\n"
            "                [--log-level debug|info|warn|error]\n"
            "                [--no-recorder] [--trace-dump PATH]\n"
            "                [--trace-slo-us N] [--trace-sample-prob P]\n"
@@ -277,7 +274,6 @@ int
 main(int argc, char **argv)
 {
     std::string socket_path = "/tmp/potluck.sock";
-    std::string snapshot_path;
     std::string stats_format = "plain";
     std::string trace_dump_path;
     int stats_sec = 30;
@@ -330,8 +326,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--no-tracing") {
             config.enable_tracing = false;
-        } else if (arg == "--snapshot") {
-            snapshot_path = next();
         } else if (arg == "--log-level") {
             LogLevel level;
             if (!parseLogLevel(next(), level))
@@ -388,22 +382,6 @@ main(int argc, char **argv)
         FaultInjector::installFromEnv();
 #endif
         PotluckService service(config);
-        if (!snapshot_path.empty()) {
-            std::ifstream probe(snapshot_path);
-            if (probe.good()) {
-                SnapshotLoadReport report;
-                size_t restored =
-                    loadSnapshot(service, snapshot_path, &report);
-                std::cout << "potluckd: restored " << restored
-                          << " entries from " << snapshot_path;
-                if (report.corrupt_tail) {
-                    std::cout << " (corrupt tail: salvaged "
-                              << report.restored << ", lost " << report.lost
-                              << ")";
-                }
-                std::cout << std::endl;
-            }
-        }
         // The tiered store attaches before the socket opens (its
         // recovered registrations must be in place when the first
         // client connects) and is declared after the service so it is
@@ -572,9 +550,10 @@ main(int argc, char **argv)
             }
         }
         // Graceful shutdown: stop accepting, drain in-flight requests
-        // (bounded by ipc_drain_deadline_ms), then snapshot the final
-        // cache state — so a SIGTERM never loses a half-served reply
-        // or an entry added moments before the signal.
+        // (bounded by ipc_drain_deadline_ms), then close the tiered
+        // store, which records the final cache state — so a SIGTERM
+        // never loses a half-served reply or an entry added moments
+        // before the signal.
         std::cout << "potluckd: draining connections" << std::endl;
         server.shutdown();
         // The recorder ring is about to die with the service; leave
@@ -582,11 +561,6 @@ main(int argc, char **argv)
         if (dumpTraceToFile()) {
             std::cout << "potluckd: trace dumped to " << g_trace_dump_path
                       << std::endl;
-        }
-        if (!snapshot_path.empty()) {
-            size_t written = saveSnapshot(service, snapshot_path);
-            std::cout << "potluckd: saved " << written << " entries to "
-                      << snapshot_path << std::endl;
         }
         if (tiered) {
             tiered->close();
